@@ -123,7 +123,10 @@ def cmd_trellis(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     band = _parse_band(args.band) if args.band else None
     if args.bits is not None:
-        e_max = min_emax_for_bits(args.n, alphabet, args.bits, band=band)
+        e_max = min_emax_for_bits(args.n, alphabet, args.bits)
+        if band:
+            e_max = min_emax_for_bits(args.n, alphabet, args.bits, band=band,
+                                      scan_from=e_max)
     else:
         e_max = args.emax
     params = TrellisParams(args.n, alphabet, e_max)

@@ -259,13 +259,58 @@ def max_shaping_bits(trellis: Trellis) -> int:
     return trellis.num_sequences.bit_length() - 1
 
 
+def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...]]:
+    """Bits per energy level of a packed column, and each amplitude's shift.
+
+    A packed column of path counts is one integer whose bits
+    [W*g, W*(g+1)) hold the count at level g, the energy m*a_min**2 + 8*g of
+    column m. No count reaches |alphabet|**n < 2**(W-1), so a level never
+    carries into the next one and the sum over all levels stays below
+    2**W - 1. Appending amplitude a to every path moves each count up
+    (a**2 - a_min**2)/8 levels, a left shift by the returned bit count; one
+    trellis step is the product with the polynomial sum(1 << shift).
+    """
+    width = (len(alphabet) ** n_amplitudes).bit_length() + 1
+    squares = alphabet.squares
+    return width, tuple(width * ((s - squares[0]) // 8) for s in squares)
+
+
 def _count_only(params: TrellisParams, band: BandParams | None) -> int:
-    """Sequence count without building forward counts; 0 for an empty band."""
-    try:
-        cols = _reachable_columns(params, band)
-    except EmptyCodebookError:
-        return 0
-    return _backward_counts(params, cols)[0].get(0, 0)
+    """Sequence count without building the trellis; 0 for an empty band.
+
+    One forward pass over packed columns (see _packing). Each step adds one
+    shifted copy of the column per amplitude (the step polynomial is sparse,
+    so this beats a big-integer multiply), then cuts the column to the
+    levels that both the band window and the tail bound admit. The tail
+    bound, room for an all-a_min completion, is the same level in every
+    column.
+    """
+    n_len = params.n_amplitudes
+    if band is not None and band.width > n_len:
+        raise ParameterError(f"band width {band.width} exceeds n={n_len}")
+    width, shifts = _packing(n_len, params.alphabet)
+    min_sq = params.alphabet.squares[0]
+    top = (params.e_max - n_len * min_sq) // 8
+    col, base = 1, 0  # base: the level held in the lowest W bits of col
+    for m in range(1, n_len + 1):
+        nxt = 0
+        for s in shifts:
+            nxt += col << s
+        col = nxt
+        hi = top
+        if band is not None:
+            e_lo, e_hi = _band_window(params, band, m)
+            lo = (e_lo - m * min_sq) // 8
+            hi = min(hi, (e_hi - m * min_sq) // 8)
+            if lo > base:
+                col >>= width * (lo - base)
+                base = lo
+        if hi < base:
+            return 0
+        col &= (1 << (width * (hi - base + 1))) - 1
+        if not col:
+            return 0
+    return col % ((1 << width) - 1)
 
 
 def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
@@ -273,8 +318,10 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
                       scan_from: int | None = None) -> int:
     """Smallest grid e_max whose trellis holds at least 2**k sequences.
 
-    The full-trellis count grows monotonically with e_max, so that case is a
-    binary search. A band trellis shifts its whole window as e_max grows and
+    The full-trellis count at e_max is the energy distribution of all
+    length-n sequences (the n-th power of _packing's step polynomial) summed
+    up to e_max, so that case sums one distribution level by level up to
+    2**k. A band trellis shifts its whole window as e_max grows and
     its count is not monotone, so the band case scans the grid from the
     bottom and returns the first hit. scan_from, when given, must be a known
     lower bound on the answer (the full-trellis minimum always is, since a
@@ -291,16 +338,17 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
             f"k={k} exceeds the {len(alphabet)}-ary cube of length {n_amplitudes}"
         )
     if band is None:
-        # invariant: count(hi) = |alphabet|**n >= target
-        lo_idx, hi_idx = 0, (hi - lo) // 8
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            e = lo + 8 * mid
-            if _count_only(TrellisParams(n_amplitudes, alphabet, e), None) >= target:
-                hi_idx = mid
-            else:
-                lo_idx = mid + 1
-        return lo + 8 * lo_idx
+        width, shifts = _packing(n_amplitudes, alphabet)
+        dist = sum(1 << s for s in shifts) ** n_amplitudes
+        mask = (1 << width) - 1
+        total, e = 0, lo
+        # terminates by e = hi: the levels sum to |alphabet|**n >= target
+        while True:
+            total += dist & mask
+            if total >= target:
+                return e
+            dist >>= width
+            e += 8
     if scan_from is not None:
         lo = max(lo, scan_from)
     for e in range(lo, hi + 1, 8):

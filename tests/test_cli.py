@@ -5,11 +5,14 @@ import pytest
 from bandshape.cli import main
 from bandshape.trellis import (
     Alphabet,
+    BandParams,
     TrellisParams,
+    build_band_trellis,
     build_full_trellis,
     load_trellis,
     min_emax_for_bits,
     save_trellis,
+    serialize,
 )
 
 
@@ -47,6 +50,16 @@ class TestTrellisBuild:
         want = min_emax_for_bits(12, Alphabet((1, 3, 5, 7)), 18)
         assert out["emax"] == str(want)
         assert int(out["bits"]) >= 18
+
+    def test_bits_band_auto_emax(self, tmp_path, capsys):
+        # the CLI starts the band scan at the sphere minimum (15 here)
+        path = tmp_path / "band.trellis"
+        assert main(["trellis", "build", "--n", "7", "--alphabet", "1,3,5,7",
+                     "--bits", "3", "--band", "2,1", "--out", str(path)]) == 0
+        alphabet, band = Alphabet((1, 3, 5, 7)), BandParams(2, 1)
+        e_max = min_emax_for_bits(7, alphabet, 3, band=band)
+        want = build_band_trellis(TrellisParams(7, alphabet, e_max), band)
+        assert path.read_text() == serialize(want)
 
     def test_band_build(self, tmp_path, capsys):
         path = tmp_path / "band.trellis"

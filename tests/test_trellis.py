@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandshape.errors import (
     EmptyCodebookError,
@@ -10,6 +12,8 @@ from bandshape.trellis import (
     Alphabet,
     BandParams,
     TrellisParams,
+    _build,
+    _count_only,
     build_band_trellis,
     build_full_trellis,
     deserialize,
@@ -249,7 +253,9 @@ class TestMinEmax:
         assert min_emax_for_bits(2, Alphabet((1,)), 0) == 2
 
     def test_matches_bruteforce_scan(self):
-        for n, alph, k in ((4, A13, 3), (5, A135, 6), (4, A1357, 7)):
+        # (3, 5): packed levels are offsets from a_min**2, not from 1
+        for n, alph, k in ((4, A13, 3), (5, A135, 6), (4, A1357, 7),
+                           (4, Alphabet((3, 5)), 3)):
             got = min_emax_for_bits(n, alph, k)
             grid = range(n, n * max(alph.amplitudes) ** 2 + 1, 8)
             want = next(
@@ -271,6 +277,30 @@ class TestMinEmax:
         # h=2, w=1 tops out at 13 sequences over the whole grid (oracle scan)
         with pytest.raises(InfeasibleRateError):
             min_emax_for_bits(7, A1357, 4, band=BandParams(2, 1))
+
+
+@st.composite
+def count_cases(draw):
+    """Small (params, band) pairs over any grid e_max, alphabets drawn from
+    {1,3,5,7,9} including ones whose smallest amplitude is not 1."""
+    n = draw(st.integers(1, 14))
+    amps = tuple(sorted(draw(st.sets(st.sampled_from((1, 3, 5, 7, 9)), min_size=1))))
+    lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
+    e_max = lo + 8 * draw(st.integers(0, (hi - lo) // 8 + 1))
+    band = draw(st.none() | st.builds(BandParams, st.integers(1, n), st.integers(0, n)))
+    return TrellisParams(n, Alphabet(amps), e_max), band
+
+
+class TestCountOnly:
+    @settings(max_examples=300, deadline=None)
+    @given(count_cases())
+    def test_matches_build(self, case):
+        params, band = case
+        try:
+            want = _build(params, band).num_sequences
+        except EmptyCodebookError:
+            want = 0
+        assert _count_only(params, band) == want
 
 
 class TestSerialization:
