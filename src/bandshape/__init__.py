@@ -48,7 +48,6 @@ from .trellis import (
     load_trellis,
     max_shaping_bits,
     min_emax_for_bits,
-    num_sequences,
     save_trellis,
     serialize,
 )

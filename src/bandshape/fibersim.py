@@ -273,16 +273,10 @@ def effective_snr(tx_symbols, rx_symbols) -> float:
     return min(10 * math.log10(sig_power / err_power), 60.0)
 
 
-def _flatten_rail(rail) -> np.ndarray:
-    first = rail[0] if len(rail) else None
-    if first is not None and not np.isscalar(first) and hasattr(first, "__iter__"):
-        return np.concatenate([np.fromiter(seq, dtype=float) for seq in rail])
-    return np.asarray(rail, dtype=float)
-
-
 def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
              fiber: FiberParams) -> dict:
-    """Full chain from shaped amplitude rails to effective SNR.
+    """Full chain from shaped amplitude rails (flat 1-D arrays) to
+    effective SNR.
 
     Sign bits and ASE noise derive deterministically from link.seed; the
     EDFA gain exactly compensates the span loss; the first and last
@@ -290,8 +284,13 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     """
     from .pasmap import map_ask, map_qam, normalize
 
-    i_rail = _flatten_rail(i_amplitudes)
-    q_rail = _flatten_rail(q_amplitudes)
+    i_rail = np.asarray(i_amplitudes, dtype=float)
+    q_rail = np.asarray(q_amplitudes, dtype=float)
+    if i_rail.ndim != 1 or q_rail.ndim != 1:
+        raise ParameterError(
+            f"amplitude rails must be flat arrays, got shapes "
+            f"{i_rail.shape}/{q_rail.shape}"
+        )
     n = link.burst_symbols
     if i_rail.size < n or q_rail.size < n:
         raise ParameterError(

@@ -42,7 +42,6 @@ from bandshape.trellis import (
     build_full_trellis,
     max_shaping_bits,
     min_emax_for_bits,
-    num_sequences,
 )
 
 from oracles import enumerate_sequences
@@ -62,7 +61,7 @@ def report(criterion: str, status: str, detail: str = "") -> None:
 def test_criterion_1_small_trellis_exact():
     t0 = time.perf_counter()
     trellis = build_full_trellis(TrellisParams(3, Alphabet((1, 3, 5)), 27))
-    assert num_sequences(trellis) == 11
+    assert trellis.num_sequences == 11
     assert len(trellis.levels(3)) == 4
     assert trellis.params.num_final_levels == 4
     assert max_shaping_bits(trellis) == 3
@@ -108,7 +107,7 @@ def test_criterion_2_bijectivity_grid():
                         continue
                     trellis = (build_band_trellis(params, band) if band
                                else build_full_trellis(params))
-                    total = num_sequences(trellis)
+                    total = trellis.num_sequences
                     assert total == len(oracle)
                     for i, want in enumerate(oracle):
                         seq = encode_index(trellis, i)

@@ -91,6 +91,12 @@ class TestTrellisBuild:
         assert out["n"] == "3"
         assert float(out["e2"]) == pytest.approx(201 / 33, abs=1e-9)
 
+    def test_info_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "binary.trellis"
+        path.write_bytes(b"\xff\xfe\x00\x81 not a trellis")
+        assert main(["trellis", "info", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestShapeDeshape:
     def test_round_trip(self, tmp_path, capsys):

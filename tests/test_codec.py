@@ -24,7 +24,6 @@ from bandshape.trellis import (
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
-    num_sequences,
 )
 
 from oracles import enumerate_sequences
@@ -64,17 +63,17 @@ class TestEncodeIndex:
 
     def test_order_matches_enumeration(self, toy):
         want = enumerate_sequences(3, (1, 3, 5), 27)
-        got = [encode_index(toy, i).values for i in range(num_sequences(toy))]
+        got = [encode_index(toy, i).values for i in range(toy.num_sequences)]
         assert got == want
 
     def test_band_order_matches_enumeration(self, narrow_band):
         want = enumerate_sequences(7, (1, 3, 5, 7), 63, band=(2, 1))
         got = [encode_index(narrow_band, i).values
-               for i in range(num_sequences(narrow_band))]
+               for i in range(narrow_band.num_sequences)]
         assert got == want
 
     def test_energy_bound(self, toy):
-        for i in range(num_sequences(toy)):
+        for i in range(toy.num_sequences):
             assert encode_index(toy, i).energy <= toy.params.e_max
 
 
@@ -86,7 +85,7 @@ class TestDecodeIndex:
         assert decode_index(toy, (3, 1, 3)) == 7
 
     def test_round_trip_all(self, toy):
-        for i in range(num_sequences(toy)):
+        for i in range(toy.num_sequences):
             assert decode_index(toy, encode_index(toy, i)) == i
 
     def test_not_in_band(self, narrow_band):
@@ -182,12 +181,12 @@ class TestBijectivityGrid:
         for n, alph, e_max in ((4, A135, 44), (5, A13, 29), (6, A1357, 102)):
             t = build_full_trellis(TrellisParams(n, alph, e_max))
             seen = set()
-            for i in range(num_sequences(t)):
+            for i in range(t.num_sequences):
                 seq = encode_index(t, i)
                 assert seq.values not in seen
                 seen.add(seq.values)
                 assert decode_index(t, seq) == i
-            assert len(seen) == num_sequences(t)
+            assert len(seen) == t.num_sequences
 
 
 class TestAmplitudeSequence:

@@ -318,6 +318,12 @@ class TestRunLink:
         with pytest.raises(ParameterError):
             run_link([1, 3], [1, 3], small_link(), SPAN_FIBER)
 
+    def test_two_dimensional_rail_rejected(self):
+        # rails are flat; slicing a 2-D rail would silently take whole rows
+        i_rail, q_rail = uniform_rails(4096)
+        with pytest.raises(ParameterError):
+            run_link(i_rail.reshape(2, 2048), q_rail, small_link(), SPAN_FIBER)
+
 
 class TestRunSweep:
     def test_grid_shape_and_determinism(self):

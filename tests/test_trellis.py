@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandshape import trellis as trellis_module
+from bandshape.codec import decode_index, encode_index
 from bandshape.errors import (
     EmptyCodebookError,
     InfeasibleRateError,
@@ -19,7 +21,6 @@ from bandshape.trellis import (
     deserialize,
     max_shaping_bits,
     min_emax_for_bits,
-    num_sequences,
     serialize,
 )
 
@@ -79,18 +80,18 @@ class TestParams:
 class TestFullTrellis:
     def test_toy_counts(self):
         t = toy_trellis()
-        assert num_sequences(t) == 11
+        assert t.num_sequences == 11
         assert len(t.levels(3)) == 4
         assert max_shaping_bits(t) == 3
 
     def test_single_path(self):
         t = build_full_trellis(TrellisParams(1, Alphabet((1,)), 1))
-        assert num_sequences(t) == 1
+        assert t.num_sequences == 1
         assert max_shaping_bits(t) == 0
 
     def test_n2_bruteforce(self):
         t = build_full_trellis(TrellisParams(2, A13, 10))
-        assert num_sequences(t) == 3
+        assert t.num_sequences == 3
 
     def test_counts_match_enumeration_grid(self):
         for n in (2, 3, 4, 5):
@@ -99,7 +100,7 @@ class TestFullTrellis:
                 for frac in (0.0, 0.3, 0.6, 1.0):
                     e_max = n + 8 * int(frac * span / 8)
                     t = build_full_trellis(TrellisParams(n, alph, e_max))
-                    assert num_sequences(t) == count_sequences(
+                    assert t.num_sequences == count_sequences(
                         n, alph.amplitudes, e_max
                     )
 
@@ -112,7 +113,7 @@ class TestFullTrellis:
                     t.back_count(n + 1, e + a * a) for a in t.params.alphabet.amplitudes
                 )
                 assert t.back_count(n, e) == children
-        assert sum(t.fwd_count(n_len, e) for e in t.levels(n_len)) == num_sequences(t)
+        assert sum(t.fwd_count(n_len, e) for e in t.levels(n_len)) == t.num_sequences
 
     def test_grid_property(self):
         t = build_full_trellis(TrellisParams(6, A1357, 150))
@@ -140,7 +141,7 @@ class TestFullTrellis:
 
     def test_alphabet_without_one(self):
         t = build_full_trellis(TrellisParams(3, Alphabet((3, 5)), 99))
-        assert num_sequences(t) == count_sequences(3, (3, 5), 99)
+        assert t.num_sequences == count_sequences(3, (3, 5), 99)
 
     def test_alphabet_without_one_infeasible(self):
         with pytest.raises(ParameterError):
@@ -154,13 +155,13 @@ class TestBandTrellis:
         assert (3, 3, 3, 3, 3, 3, 3) in seqs
         assert (7, 3, 1, 1, 1, 1, 1) not in seqs
         t = build_band_trellis(TrellisParams(7, A1357, 63), BandParams(2, 1))
-        assert num_sequences(t) == len(seqs)
+        assert t.num_sequences == len(seqs)
 
     def test_full_cover_band_equals_full(self):
         params = TrellisParams(3, A135, 27)
         full = build_full_trellis(params)
         band = build_band_trellis(params, BandParams(4, 3))
-        assert num_sequences(band) == num_sequences(full)
+        assert band.num_sequences == full.num_sequences
         for n in range(4):
             assert band.levels(n) == full.levels(n)
             for e in full.levels(n):
@@ -169,7 +170,7 @@ class TestBandTrellis:
 
     def test_single_ramp(self):
         t = build_band_trellis(TrellisParams(3, A135, 27), BandParams(1, 0))
-        assert num_sequences(t) == 1
+        assert t.num_sequences == 1
         assert t.levels(1) == (9,)
         assert t.levels(2) == (18,)
         assert t.levels(3) == (27,)
@@ -189,21 +190,21 @@ class TestBandTrellis:
                                 build_band_trellis(params, BandParams(h, w))
                             continue
                         t = build_band_trellis(params, BandParams(h, w))
-                        assert num_sequences(t) == want
+                        assert t.num_sequences == want
 
     def test_band_monotone_in_height(self):
         params = TrellisParams(6, A1357, 150)
         prev = 0
         for h in range(1, 8):
             t = build_band_trellis(params, BandParams(h, 1))
-            assert num_sequences(t) >= prev
-            prev = num_sequences(t)
+            assert t.num_sequences >= prev
+            prev = t.num_sequences
 
     def test_band_never_exceeds_full(self):
         params = TrellisParams(6, A1357, 150)
-        full = num_sequences(build_full_trellis(params))
+        full = build_full_trellis(params).num_sequences
         for h in (1, 2, 4):
-            assert num_sequences(build_band_trellis(params, BandParams(h, 1))) <= full
+            assert build_band_trellis(params, BandParams(h, 1)).num_sequences <= full
 
     def test_band_bounds_agree_with_oracle(self):
         # DP construction vs the independently coded window formulas
@@ -234,13 +235,13 @@ class TestShapingBits:
 
     def test_two_sequences(self):
         t = build_full_trellis(TrellisParams(1, A13, 9))
-        assert num_sequences(t) == 2
+        assert t.num_sequences == 2
         assert max_shaping_bits(t) == 1
 
     def test_bracketing(self):
         t = build_full_trellis(TrellisParams(5, A1357, 125))
         k = max_shaping_bits(t)
-        assert 2**k <= num_sequences(t) < 2 ** (k + 1)
+        assert 2**k <= t.num_sequences < 2 ** (k + 1)
 
 
 class TestMinEmax:
@@ -277,6 +278,33 @@ class TestMinEmax:
         # h=2, w=1 tops out at 13 sequences over the whole grid (oracle scan)
         with pytest.raises(InfeasibleRateError):
             min_emax_for_bits(7, A1357, 4, band=BandParams(2, 1))
+
+
+def table(t):
+    """Node set with backward and forward counts, column by column."""
+    return [[(e, t.back_count(n, e), t.fwd_count(n, e)) for e in t.levels(n)]
+            for n in range(t.params.n_amplitudes + 1)]
+
+
+def header(params, band):
+    alphabet = ",".join(str(a) for a in params.alphabet.amplitudes)
+    band_txt = f"{band.height},{band.width}" if band else "none"
+    return (f"N={params.n_amplitudes} ALPHABET={alphabet} "
+            f"EMAX={params.e_max} BAND={band_txt}")
+
+
+def relabel(trellis, params, band):
+    """The serialized trellis with its parameter line rewritten."""
+    lines = serialize(trellis).splitlines()
+    lines[1] = header(params, band)
+    return "\n".join(lines) + "\n"
+
+
+def built_or_none(params, band):
+    try:
+        return _build(params, band)
+    except (EmptyCodebookError, ParameterError):
+        return None
 
 
 @st.composite
@@ -318,7 +346,7 @@ class TestSerialization:
     def test_round_trip_band(self):
         t = build_band_trellis(TrellisParams(7, A1357, 63), BandParams(2, 1))
         u = deserialize(serialize(t))
-        assert num_sequences(u) == num_sequences(t)
+        assert u.num_sequences == t.num_sequences
         assert u.band == BandParams(2, 1)
 
     def test_truncated_stream(self):
@@ -350,6 +378,94 @@ class TestSerialization:
         lines[3] = f"{n} {e} {int(t_cnt) + 1} {f_cnt}"
         with pytest.raises(TrellisFormatError):
             deserialize("\n".join(lines) + "\n")
+
+    def test_emax_relabel_rejected(self):
+        # the toy table under a smaller EMAX would hold sequences of energy 27
+        t = toy_trellis()
+        for e_max in (19, 3):
+            with pytest.raises(TrellisFormatError):
+                deserialize(relabel(t, TrellisParams(3, A135, e_max), None))
+
+    def test_band_relabel_rejected(self):
+        # the whole 4**12 cube relabelled as a band that really holds 1 sequence
+        params = TrellisParams(12, A1357, 588)
+        t = build_full_trellis(params)
+        assert t.num_sequences == 4**12
+        assert _build(params, BandParams(2, 0)).num_sequences == 1
+        with pytest.raises(TrellisFormatError):
+            deserialize(relabel(t, params, BandParams(2, 0)))
+
+    def test_short_file_rejected_before_build(self, monkeypatch):
+        def no_build(params, band):
+            raise AssertionError("a 3-line file must not trigger a build")
+
+        monkeypatch.setattr(trellis_module, "_build", no_build)
+        text = "ESSTRELLIS v1\nN=1000000 ALPHABET=1,3,5 EMAX=1000000 BAND=none\nEND 1\n"
+        with pytest.raises(TrellisFormatError, match="truncated"):
+            deserialize(text)
+
+    def test_header_without_codebook(self):
+        # an empty band and a band wider than N: valid tables, impossible headers
+        empty, toy = TrellisParams(6, Alphabet((5, 7)), 246), TrellisParams(3, A135, 27)
+        cases = (
+            (build_full_trellis(empty), empty, BandParams(1, 0), EmptyCodebookError),
+            (toy_trellis(), toy, BandParams(2, 4), ParameterError),
+        )
+        for t, params, band, cause in cases:
+            with pytest.raises(TrellisFormatError) as info:
+                deserialize(relabel(t, params, band))
+            assert isinstance(info.value.__cause__, cause)
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases())
+    def test_round_trip_property(self, case):
+        params, band = case
+        t = built_or_none(params, band)
+        if t is None:
+            return
+        u = deserialize(serialize(t))
+        assert (u.params, u.band) == (params, band)
+        assert table(u) == table(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases(), st.data())
+    def test_relabel_property(self, case, data):
+        params, band = case
+        t = built_or_none(params, band)
+        if t is None:
+            return
+        n = params.n_amplitudes
+        squares = params.alphabet.squares
+        if data.draw(st.booleans(), label="relabel EMAX"):
+            lo, hi = n * squares[0], n * squares[-1]
+            e_max = lo + 8 * data.draw(st.integers(0, (hi - lo) // 8 + 1))
+            params = TrellisParams(n, params.alphabet, e_max)
+        else:
+            band = data.draw(st.none() | st.builds(
+                BandParams, st.integers(1, n + 1), st.integers(0, n + 1)))
+        text = relabel(t, params, band)
+        rebuilt = built_or_none(params, band)
+        if rebuilt is None or table(rebuilt) != table(t):
+            with pytest.raises(TrellisFormatError):
+                deserialize(text)
+        else:
+            u = deserialize(text)
+            assert (u.params, u.band) == (params, band)
+            assert table(u) == table(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases(), st.data())
+    def test_encode_decode_bijection(self, case, data):
+        params, band = case
+        t = built_or_none(params, band)
+        if t is None:
+            return
+        u = deserialize(serialize(t))
+        for i in data.draw(st.lists(st.integers(0, t.num_sequences - 1),
+                                    min_size=1, max_size=8, unique=True)):
+            seq = encode_index(u, i)
+            assert seq.energy <= params.e_max
+            assert decode_index(u, seq) == i
 
     def test_large_block_round_trip(self):
         # rate-1.5 codebook at n=108: counts far past 64 bits survive the trip
