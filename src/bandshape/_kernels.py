@@ -2,9 +2,10 @@
 
 The Kerr phase rotation runs once per split step over the whole sample
 buffer and dominates the non-FFT cost; the numba build fuses the three
-elementwise passes numpy needs into one. Set BANDSHAPE_NO_NUMBA=1 to force
-the pure-numpy path (used by benchmarks/bench_kernels.py for comparison,
-and automatically when numba is unavailable).
+elementwise passes numpy needs into one. The pure-numpy path runs when numba
+is unavailable, or when BANDSHAPE_NO_NUMBA=1 is set before import (for
+example to run the test suite on it). benchmarks/bench_kernels.py times both
+kernels by calling them directly.
 """
 
 import math

@@ -207,7 +207,7 @@ def cmd_stats(args) -> int:
                      f"seed={sampled.seed} exhaustive={sampled.exhaustive}\n")
             fh.write("row,v1,v2,v3,v4\n")
             for a, pe, ps in zip(exact.alphabet, exact.p_amp, sampled.p_amp):
-                fh.write(f"p,{a},{pe!r},{ps!r}\n")
+                fh.write(f"p,{a},{pe!r},{ps!r},\n")
             fh.write(f"moments,{exact.e2!r},{exact.e4!r},{exact.var_e!r},"
                      f"{exact.kurtosis!r}\n")
     return 0

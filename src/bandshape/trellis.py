@@ -144,99 +144,140 @@ class Trellis:
                 f"e_max={p.e_max}{band}, sequences={self.num_sequences})")
 
 
-def _band_window(params: TrellisParams, band: BandParams, col: int) -> tuple[int, int]:
-    """Active energy window [lo, hi] of the band at a column.
+def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...]]:
+    """Bits per energy level of a packed column, and each amplitude's shift.
 
-    The upper boundary follows the full-trellis top over the last `width`
-    columns; elsewhere it is a straight ramp of slope e_max/n snapped down
-    onto the column's mod-8 grid. The lower boundary trails it by
-    8*(height-1), floored at the all-ones energy.
+    A packed column of path counts is one integer whose bits
+    [W*g, W*(g+1)) hold the count at level g, the energy m*a_min**2 + 8*g of
+    column m. No count reaches |alphabet|**n < 2**(W-1), so a level never
+    carries into the next one and the sum over all levels stays below
+    2**W - 1. W is a whole number of bytes, so a column unpacks through
+    to_bytes. Appending amplitude a to every path moves each count up
+    (a**2 - a_min**2)/8 levels, a left shift by the returned bit count; one
+    trellis step is the product with the polynomial sum(1 << shift).
+    """
+    width = -(-((len(alphabet) ** n_amplitudes).bit_length() + 1) // 8) * 8
+    squares = alphabet.squares
+    return width, tuple(width * ((s - squares[0]) // 8) for s in squares)
+
+
+def _level_windows(params: TrellisParams, band: BandParams | None):
+    """Admitted levels (lo, hi) of columns 1 through n, one column at a time.
+
+    The band's upper boundary follows the full-trellis top over the last
+    `width` columns; elsewhere it is a straight ramp of slope e_max/n
+    snapped down onto the column's mod-8 grid. Its lower boundary trails by
+    8*(height-1), floored at the all-ones energy. Every column is also cut
+    at the tail bound top, the last level that leaves room for an all-a_min
+    completion within e_max. hi < lo marks a column that admits nothing.
+    Lazy, so a count that stops at an empty column computes no later window.
     """
     n_len, e_max = params.n_amplitudes, params.e_max
-    if col == 0:
-        return 0, 0
-    if col >= n_len - band.width:
-        hi = min(col * params.alphabet.squares[-1], e_max - (n_len - col))
-    else:
-        cap = max(col, (col * e_max) // n_len)
-        hi = cap - ((cap - col) % 8)
-    return max(col, hi - 8 * (band.height - 1)), hi
+    if band is not None and band.width > n_len:
+        raise ParameterError(f"band width {band.width} exceeds n={n_len}")
+    min_sq, max_sq = params.alphabet.squares[0], params.alphabet.squares[-1]
+    top = (e_max - n_len * min_sq) // 8
+    for m in range(1, n_len + 1):
+        if band is None:
+            yield 0, top
+            continue
+        if m >= n_len - band.width:
+            hi = min(m * max_sq, e_max - (n_len - m))
+        else:
+            cap = max(m, (m * e_max) // n_len)
+            hi = cap - ((cap - m) % 8)
+        lo = max(m, hi - 8 * (band.height - 1))
+        yield (lo - m * min_sq) // 8, min(top, (hi - m * min_sq) // 8)
 
 
-def _reachable_columns(params: TrellisParams, band: BandParams | None):
-    """Forward-reachable energy sets per column, restricted to the band and
-    to nodes that can still be completed within e_max."""
-    n_len, e_max = params.n_amplitudes, params.e_max
-    squares = params.alphabet.squares
-    min_sq = squares[0]
-    windows = None
-    if band is not None:
-        if band.width > n_len:
-            raise ParameterError(f"band width {band.width} exceeds n={n_len}")
-        windows = [_band_window(params, band, n) for n in range(n_len + 1)]
-    cols: list[set[int]] = [set() for _ in range(n_len + 1)]
-    cols[0].add(0)
-    for n in range(n_len):
-        tail = (n_len - n - 1) * min_sq
-        nxt = cols[n + 1]
-        window = windows[n + 1] if windows else None
-        for e in cols[n]:
-            for s in squares:
-                child = e + s
-                if child + tail > e_max:
-                    break
-                if window and not window[0] <= child <= window[1]:
-                    continue
-                nxt.add(child)
-        if not nxt:
-            raise EmptyCodebookError(
-                f"no admissible node at column {n + 1}; band too narrow"
-            )
+def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Packed paths-from-origin counts per column, as (base, column) pairs.
+
+    Each step adds one shifted copy of the column per amplitude (the step
+    polynomial is sparse, so this beats a big-integer multiply), then cuts
+    the column to its admitted levels; base is the level held in the lowest
+    W bits, and never drops. The list ends before the first empty column.
+    """
+    col, base = 1, 0
+    cols = [(base, col)]
+    for lo, hi in windows:
+        nxt = 0
+        for s in shifts:
+            nxt += col << s
+        col = nxt
+        if lo > base:
+            col >>= width * (lo - base)
+            base = lo
+        if hi < base:
+            break
+        col &= (1 << (width * (hi - base + 1))) - 1
+        if not col:
+            break
+        cols.append((base, col))
     return cols
 
 
-def _backward_counts(params: TrellisParams, cols) -> list[dict[int, int]]:
-    """Paths-to-final per node; nodes with no completion are dropped."""
+def _count_only(params: TrellisParams, band: BandParams | None) -> int:
+    """Sequence count without building the trellis; 0 for an empty band.
+
+    The last column of the forward pass, summed over its levels (see _packing).
+    """
+    width, shifts = _packing(params.n_amplitudes, params.alphabet)
+    cols = _forward(_level_windows(params, band), width, shifts)
+    return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
+
+
+def _build(params: TrellisParams, band: BandParams | None,
+           max_nodes: int | None = None) -> Trellis:
+    """Both packed passes, then every node whose two counts are nonzero.
+
+    The backward pass undoes the forward steps with right shifts, from a 1
+    at every admitted level of the final column, on the forward pass's
+    bases (no lower level holds a forward count). The forward counts need
+    no pruning: every parent of a node that reaches the final column
+    reaches it too. Unpacking stops with TrellisFormatError once more than
+    max_nodes nodes are found (the node lines of a file being loaded).
+    """
     n_len = params.n_amplitudes
-    squares = params.alphabet.squares
-    back: list[dict[int, int]] = [dict() for _ in range(n_len + 1)]
-    back[n_len] = {e: 1 for e in sorted(cols[n_len])}
-    for n in range(n_len - 1, -1, -1):
-        nxt = back[n + 1]
-        cur = back[n]
-        for e in sorted(cols[n]):
-            c = 0
-            for s in squares:
-                c += nxt.get(e + s, 0)
-            if c:
-                cur[e] = c
-    return back
+    width, shifts = _packing(n_len, params.alphabet)
+    windows = [(0, 0), *_level_windows(params, band)]
+    fwd_cols = _forward(windows[1:], width, shifts)
+    if len(fwd_cols) <= n_len:
+        raise EmptyCodebookError(
+            f"no admissible node at column {len(fwd_cols)}; band too narrow"
+        )
+    spans = [hi - base + 1 for (_, hi), (base, _) in zip(windows, fwd_cols)]
+    col = ((1 << (width * spans[-1])) - 1) // ((1 << width) - 1)
+    back_cols = [col]
+    for m in range(n_len - 1, -1, -1):
+        col <<= width * (fwd_cols[m + 1][0] - fwd_cols[m][0])
+        nxt = 0
+        for s in shifts:
+            nxt += col >> s
+        col = nxt & ((1 << (width * spans[m])) - 1)
+        back_cols.append(col)
+    back_cols.reverse()
 
-
-def _forward_counts(params: TrellisParams, back) -> list[dict[int, int]]:
-    n_len = params.n_amplitudes
-    squares = params.alphabet.squares
-    fwd: list[dict[int, int]] = [dict() for _ in range(n_len + 1)]
-    fwd[0][0] = 1
-    for n in range(n_len):
-        alive = back[n + 1]
-        nxt = fwd[n + 1]
-        for e, paths in fwd[n].items():
-            for s in squares:
-                child = e + s
-                if child in alive:
-                    nxt[child] = nxt.get(child, 0) + paths
-    return fwd
-
-
-def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
-    cols = _reachable_columns(params, band)
-    back = _backward_counts(params, cols)
-    if 0 not in back[0]:
-        raise EmptyCodebookError("band admits no complete sequence")
-    fwd = _forward_counts(params, back)
-    # backward pruning cannot orphan a survivor, so the two node sets agree
-    assert all(set(fwd[n]) == set(back[n]) for n in range(params.n_amplitudes + 1))
+    size, min_sq = width // 8, params.alphabet.squares[0]
+    back: list[dict[int, int]] = []
+    fwd: list[dict[int, int]] = []
+    nodes = 0
+    for m, ((base, f_col), b_col, span) in enumerate(zip(fwd_cols, back_cols, spans)):
+        f_raw, b_raw = (c.to_bytes(span * size, "little") for c in (f_col, b_col))
+        back.append({})
+        fwd.append({})
+        for g in range(span):
+            b = int.from_bytes(b_raw[g * size:(g + 1) * size], "little")
+            f = int.from_bytes(f_raw[g * size:(g + 1) * size], "little")
+            if b and f:
+                e = m * min_sq + 8 * (base + g)
+                back[m][e], fwd[m][e] = b, f
+        nodes += len(back[m])
+        if max_nodes is not None and nodes > max_nodes:
+            raise TrellisFormatError(
+                f"the header defines over {max_nodes} nodes, "
+                f"more than the file has node lines for"
+            )
     return Trellis(params, band, back, fwd)
 
 
@@ -253,60 +294,6 @@ def build_band_trellis(params: TrellisParams, band: BandParams) -> Trellis:
 def max_shaping_bits(trellis: Trellis) -> int:
     """Largest k with 2**k <= num_sequences."""
     return trellis.num_sequences.bit_length() - 1
-
-
-def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...]]:
-    """Bits per energy level of a packed column, and each amplitude's shift.
-
-    A packed column of path counts is one integer whose bits
-    [W*g, W*(g+1)) hold the count at level g, the energy m*a_min**2 + 8*g of
-    column m. No count reaches |alphabet|**n < 2**(W-1), so a level never
-    carries into the next one and the sum over all levels stays below
-    2**W - 1. Appending amplitude a to every path moves each count up
-    (a**2 - a_min**2)/8 levels, a left shift by the returned bit count; one
-    trellis step is the product with the polynomial sum(1 << shift).
-    """
-    width = (len(alphabet) ** n_amplitudes).bit_length() + 1
-    squares = alphabet.squares
-    return width, tuple(width * ((s - squares[0]) // 8) for s in squares)
-
-
-def _count_only(params: TrellisParams, band: BandParams | None) -> int:
-    """Sequence count without building the trellis; 0 for an empty band.
-
-    One forward pass over packed columns (see _packing). Each step adds one
-    shifted copy of the column per amplitude (the step polynomial is sparse,
-    so this beats a big-integer multiply), then cuts the column to the
-    levels that both the band window and the tail bound admit. The tail
-    bound, room for an all-a_min completion, is the same level in every
-    column.
-    """
-    n_len = params.n_amplitudes
-    if band is not None and band.width > n_len:
-        raise ParameterError(f"band width {band.width} exceeds n={n_len}")
-    width, shifts = _packing(n_len, params.alphabet)
-    min_sq = params.alphabet.squares[0]
-    top = (params.e_max - n_len * min_sq) // 8
-    col, base = 1, 0  # base: the level held in the lowest W bits of col
-    for m in range(1, n_len + 1):
-        nxt = 0
-        for s in shifts:
-            nxt += col << s
-        col = nxt
-        hi = top
-        if band is not None:
-            e_lo, e_hi = _band_window(params, band, m)
-            lo = (e_lo - m * min_sq) // 8
-            hi = min(hi, (e_hi - m * min_sq) // 8)
-            if lo > base:
-                col >>= width * (lo - base)
-                base = lo
-        if hi < base:
-            return 0
-        col &= (1 << (width * (hi - base + 1))) - 1
-        if not col:
-            return 0
-    return col % ((1 << width) - 1)
 
 
 def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
@@ -430,7 +417,7 @@ def deserialize(data: str | bytes) -> Trellis:
             f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
         )
     try:
-        trellis = _build(params, band)
+        trellis = _build(params, band, max_nodes=len(lines) - 3)
     except (EmptyCodebookError, ParameterError) as exc:
         raise TrellisFormatError(f"header defines no trellis: {exc}") from exc
     for number, (got, want) in enumerate(zip_longest(lines, _lines(trellis)), 1):

@@ -7,6 +7,7 @@ dynamic-programming code under test.
 
 import itertools
 import math
+from collections import defaultdict
 
 
 def band_bounds(col, n_total, e_max, height, width, a_max):
@@ -94,6 +95,32 @@ def sequences_through_node(sequences, col, energy):
         if e == energy:
             hits += 1
     return hits
+
+
+def node_table(n, alphabet, e_max, band=None):
+    """Per column, (energy, backward count, forward count) of every node that
+    an admissible sequence passes through, in ascending energy.
+
+    The forward count is the number of distinct admissible prefixes of that
+    length and energy; the backward count is the number of admissible
+    sequences through the node divided by it.
+    """
+    sequences = enumerate_sequences(n, alphabet, e_max, band)
+    table = []
+    for col in range(n + 1):
+        prefixes = defaultdict(set)
+        through = defaultdict(int)
+        for seq in sequences:
+            e = sum(a * a for a in seq[:col])
+            prefixes[e].add(seq[:col])
+            through[e] += 1
+        column = []
+        for e in sorted(through):
+            back, rest = divmod(through[e], len(prefixes[e]))
+            assert rest == 0, "every prefix of a node shares its completions"
+            column.append((e, back, len(prefixes[e])))
+        table.append(column)
+    return table
 
 
 def population_var(values):

@@ -157,6 +157,9 @@ class TestStats:
         assert rows[0] == "row,v1,v2,v3,v4"
         assert len([r for r in rows if r.startswith("p,")]) == 3
         assert len([r for r in rows if r.startswith("moments,")]) == 1
+        # every row fills the five header columns; p rows leave v4 empty
+        assert all(len(r.split(",")) == 5 for r in rows)
+        assert all(r.endswith(",") for r in rows if r.startswith("p,"))
 
     def test_exhaustive(self, tmp_path, capsys):
         trellis = build_toy(tmp_path)

@@ -24,7 +24,7 @@ from bandshape.trellis import (
     serialize,
 )
 
-from oracles import band_bounds, count_sequences, enumerate_sequences
+from oracles import band_bounds, count_sequences, enumerate_sequences, node_table
 
 A135 = Alphabet((1, 3, 5))
 A13 = Alphabet((1, 3))
@@ -308,10 +308,10 @@ def built_or_none(params, band):
 
 
 @st.composite
-def count_cases(draw):
+def count_cases(draw, max_n=14):
     """Small (params, band) pairs over any grid e_max, alphabets drawn from
     {1,3,5,7,9} including ones whose smallest amplitude is not 1."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_n))
     amps = tuple(sorted(draw(st.sets(st.sampled_from((1, 3, 5, 7, 9)), min_size=1))))
     lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
     e_max = lo + 8 * draw(st.integers(0, (hi - lo) // 8 + 1))
@@ -329,6 +329,20 @@ class TestCountOnly:
         except EmptyCodebookError:
             want = 0
         assert _count_only(params, band) == want
+
+
+class TestNodeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(count_cases(max_n=6))
+    def test_matches_enumeration(self, case):
+        params, band = case
+        t = built_or_none(params, band)
+        want = node_table(params.n_amplitudes, params.alphabet.amplitudes, params.e_max,
+                          band and (band.height, band.width))
+        if t is None:
+            assert not any(want)
+        else:
+            assert table(t) == want
 
 
 class TestSerialization:
@@ -403,6 +417,14 @@ class TestSerialization:
         text = "ESSTRELLIS v1\nN=1000000 ALPHABET=1,3,5 EMAX=1000000 BAND=none\nEND 1\n"
         with pytest.raises(TrellisFormatError, match="truncated"):
             deserialize(text)
+
+    def test_node_cap_stops_rebuild(self):
+        # 24 lines whose header defines 246,431 nodes: unpacking stops at 21
+        amps = ",".join(str(a) for a in range(1, 100, 2))
+        lines = ["ESSTRELLIS v1", f"N=20 ALPHABET={amps} EMAX=196020 BAND=none"]
+        lines += ["0 0 1 1"] * 21 + ["END 1"]
+        with pytest.raises(TrellisFormatError, match="over 21 nodes"):
+            deserialize("\n".join(lines) + "\n")
 
     def test_header_without_codebook(self):
         # an empty band and a band wider than N: valid tables, impossible headers
