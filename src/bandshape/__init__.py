@@ -2,7 +2,6 @@
 single-span fiber simulator."""
 
 from .codec import (
-    AmplitudeSequence,
     decode_index,
     deshape,
     encode_index,

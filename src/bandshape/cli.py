@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .codec import AmplitudeSequence, deshape, shape_stream
+from .codec import deshape, shape_stream
 from .errors import BandshapeError, ParameterError
 from .fibersim import FiberParams, LinkParams, run_sweep
 from .metrics import compare_trellises, exact_metrics, sampled_metrics
@@ -36,30 +36,6 @@ DEFAULT_SEED = 12345
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def bytes_to_bits(data: bytes):
-    """MSB-first bit stream of a byte string."""
-    for byte in data:
-        for shift in range(7, -1, -1):
-            yield (byte >> shift) & 1
-
-
-def bits_to_bytes(bits) -> bytes:
-    """Pack MSB-first; the final byte is zero-padded if needed."""
-    out = bytearray()
-    acc = 0
-    fill = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        fill += 1
-        if fill == 8:
-            out.append(acc)
-            acc = 0
-            fill = 0
-    if fill:
-        out.append(acc << (8 - fill))
-    return bytes(out)
 
 
 def _parse_alphabet(text: str) -> Alphabet:
@@ -147,10 +123,10 @@ def cmd_shape(args) -> int:
     with open(args.infile, "rb") as fh:
         payload = fh.read()
     with open(args.out, "w", encoding="utf-8") as fh:
-        def emit(seq: AmplitudeSequence) -> None:
-            fh.write(" ".join(str(v) for v in seq.values) + "\n")
+        def emit(seq: tuple[int, ...]) -> None:
+            fh.write(" ".join(str(v) for v in seq) + "\n")
 
-        blocks = shape_stream(trellis, bytes_to_bits(payload), emit)
+        blocks = shape_stream(trellis, payload, emit)
     _log(f"shaped {blocks} blocks from {len(payload)} bytes")
     return 0
 
@@ -158,7 +134,7 @@ def cmd_shape(args) -> int:
 def cmd_deshape(args) -> int:
     trellis = load_trellis(args.trellis)
     k = max_shaping_bits(trellis)
-    bits: list[int] = []
+    indices: list[int] = []
     with open(args.infile, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -166,14 +142,19 @@ def cmd_deshape(args) -> int:
                 continue
             try:
                 seq = tuple(int(v) for v in line.split())
-                bits.extend(deshape(trellis, seq))
+                indices.append(deshape(trellis, seq))
             except (ValueError, BandshapeError) as exc:
                 raise ParameterError(f"line {lineno}: {exc}") from exc
+    # format() cannot print zero digits, so a k=0 block needs the branch
+    bits = "".join(format(i, f"0{k}b") for i in indices) if k else ""
+    pad = -len(bits) % 8
+    # the leading "0" lets an empty payload parse, to no bytes
+    data = int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
     with open(args.out, "wb") as fh:
-        fh.write(bits_to_bytes(bits))
-    if len(bits) % 8:
+        fh.write(data)
+    if pad:
         _log(f"note: {len(bits)} bits zero-padded to a byte boundary")
-    _log(f"deshaped {len(bits) // k if k else 0} sequences")
+    _log(f"deshaped {len(indices)} sequences")
     return 0
 
 

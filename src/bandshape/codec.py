@@ -5,14 +5,15 @@ tell how many sequences start with each candidate amplitude, so an index is
 located by skipping whole subtrees in ascending amplitude order. All
 arithmetic is integer-exact.
 
-The shaping codebook uses the lexicographically first 2**k sequences, with
-bit blocks read MSB-first so that integer order equals bit-string order.
+The shaping codebook uses the lexicographically first 2**k sequences. A
+k-bit block is carried as its integer value, which is the index of its
+sequence; payloads are cut into blocks MSB-first, so integer order equals
+bit-string order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .errors import (
     FramingError,
@@ -24,33 +25,7 @@ from .errors import (
 from .trellis import Trellis, max_shaping_bits
 
 
-@dataclass(frozen=True)
-class AmplitudeSequence:
-    """A fixed-length amplitude tuple with its accumulated energy."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    @property
-    def energy(self) -> int:
-        return sum(v * v for v in self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def _values(seq) -> tuple[int, ...]:
-    if isinstance(seq, AmplitudeSequence):
-        return seq.values
-    return tuple(int(v) for v in seq)
-
-
-def encode_index(trellis: Trellis, index: int) -> AmplitudeSequence:
+def encode_index(trellis: Trellis, index: int) -> tuple[int, ...]:
     """Sequence at position `index` in lexicographic order (0-based)."""
     total = trellis.num_sequences
     if not 0 <= index < total:
@@ -72,12 +47,12 @@ def encode_index(trellis: Trellis, index: int) -> AmplitudeSequence:
             remainder -= count
         else:  # pragma: no cover - children always sum to the parent count
             raise AssertionError("count table inconsistent")
-    return AmplitudeSequence(tuple(out))
+    return tuple(out)
 
 
 def decode_index(trellis: Trellis, seq) -> int:
     """Inverse of encode_index: sums the counts of all smaller branches."""
-    values = _values(seq)
+    values = tuple(int(v) for v in seq)
     n_len = trellis.params.n_amplitudes
     if len(values) != n_len:
         raise InvalidSequenceError(f"expected {n_len} amplitudes, got {len(values)}")
@@ -100,61 +75,39 @@ def decode_index(trellis: Trellis, seq) -> int:
     return index
 
 
-def bits_to_index(bits: Sequence[int]) -> int:
-    """MSB-first bit block to integer."""
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ParameterError(f"bit values must be 0 or 1, got {b!r}")
-        value = (value << 1) | b
-    return value
-
-
-def index_to_bits(index: int, k: int) -> tuple[int, ...]:
-    """Integer to MSB-first bit block of width k."""
-    if index < 0 or index >= (1 << k):
-        raise ParameterError(f"index {index} does not fit in {k} bits")
-    return tuple((index >> (k - 1 - i)) & 1 for i in range(k))
-
-
-def shape(trellis: Trellis, bits: Sequence[int]) -> AmplitudeSequence:
-    """Map one k-bit block to its amplitude sequence."""
+def shape(trellis: Trellis, index: int) -> tuple[int, ...]:
+    """Map one k-bit block, given as its integer value, to its sequence."""
     k = max_shaping_bits(trellis)
-    bits = tuple(bits)
-    if len(bits) != k:
-        raise ParameterError(f"block must hold exactly k={k} bits, got {len(bits)}")
-    return encode_index(trellis, bits_to_index(bits))
+    if not 0 <= index < 1 << k:
+        raise ParameterError(f"block {index} does not fit in k={k} bits")
+    return encode_index(trellis, index)
 
 
-def deshape(trellis: Trellis, seq) -> tuple[int, ...]:
-    """Map an amplitude sequence back to its k-bit block."""
+def deshape(trellis: Trellis, seq) -> int:
+    """Map an amplitude sequence back to its k-bit block's integer value."""
     k = max_shaping_bits(trellis)
     index = decode_index(trellis, seq)
     if index >= (1 << k):
         raise OutOfCodebookError(
             f"sequence has index {index} >= 2**{k}; in the trellis but unused"
         )
-    return index_to_bits(index, k)
+    return index
 
 
-def shape_stream(trellis: Trellis, bit_source: Iterable[int],
-                 block_handler: Callable[[AmplitudeSequence], None]) -> int:
-    """Partition a bit stream into k-bit blocks and shape each in order.
+def shape_stream(trellis: Trellis, data: bytes,
+                 block_handler: Callable[[tuple[int, ...]], None]) -> int:
+    """Cut a payload into MSB-first k-bit blocks and shape each in order.
 
     Returns the number of blocks emitted. A trailing partial block raises
     FramingError; nothing is padded implicitly.
     """
     k = max_shaping_bits(trellis)
-    buffer: list[int] = []
-    blocks = 0
-    for bit in bit_source:
-        buffer.append(bit)
-        if len(buffer) == k:
-            block_handler(shape(trellis, buffer))
-            blocks += 1
-            buffer.clear()
-    if buffer:
-        raise FramingError(
-            f"{len(buffer)} trailing bits do not fill a k={k} block"
-        )
+    n_bits = 8 * len(data)
+    blocks = n_bits // k if k else 0
+    bits = format(int.from_bytes(data, "big"), f"0{n_bits}b")
+    for i in range(blocks):
+        block_handler(shape(trellis, int(bits[i * k:(i + 1) * k], 2)))
+    trailing = n_bits - blocks * k
+    if trailing:
+        raise FramingError(f"{trailing} trailing bits do not fill a k={k} block")
     return blocks

@@ -169,8 +169,7 @@ def _scale_to_power(samples: np.ndarray, power_dbm: float) -> np.ndarray:
     return samples * math.sqrt(target_w / current)
 
 
-def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float,
-              launch_power_dbm: float | None = None) -> Waveform:
+def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float) -> Waveform:
     """Symmetric split-step propagation over one span.
 
     Fixed step with a shorter final step when the length is not a multiple;
@@ -182,8 +181,6 @@ def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float,
     if step_km <= 0:
         raise ParameterError("step_km must be positive")
     u = waveform.samples.copy()
-    if launch_power_dbm is not None:
-        u = _scale_to_power(u, launch_power_dbm)
     length = fiber.length_km
     if length == 0:
         return Waveform(u, waveform.sample_rate_hz)
@@ -337,7 +334,7 @@ def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarra
     for _ in range(2):
         chunks = []
         for _ in range(per_rail):
-            idx = rng.getrandbits(k) if k else 0
+            idx = rng.getrandbits(k)
             chunks.append(np.fromiter(encode_index(trellis, idx), dtype=float))
         rails.append(np.concatenate(chunks))
     return rails[0], rails[1]

@@ -111,16 +111,13 @@ def sampled_metrics(trellis: Trellis, k: int, num_samples: int, seed: int,
         indices = range(1 << k)
     else:
         rng = random.Random(seed)
-        if k == 0:
-            indices = [0] * num_samples
-        else:
-            indices = (rng.getrandbits(k) for _ in range(num_samples))
+        indices = (rng.getrandbits(k) for _ in range(num_samples))
     occ = {a: 0 for a in amps}
     count = 0
     sum_e2 = 0.0
     sum_e2_sq = 0.0
     for i in indices:
-        values = encode_index(trellis, i).values
+        values = encode_index(trellis, i)
         for a in amps:
             occ[a] += values.count(a)
         seq_e2 = sum(v * v for v in values) / n_len

@@ -1,5 +1,5 @@
-"""Amplitude-to-symbol mapping: sign application, QAM assembly, power
-normalization, and symbol file formats.
+"""Amplitude-to-symbol mapping: sign application, QAM assembly and power
+normalization.
 
 Sign bits here come from a seeded uniform generator; in a full transmitter
 they would be FEC parity. Normalization always uses the measured stream
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-_MAGIC = b"SYMF64v1"
 
 
 @dataclass(frozen=True)
@@ -61,45 +59,3 @@ def normalize(symbols) -> SymbolStream:
 def random_sign_bits(n: int, seed) -> np.ndarray:
     """Seeded uniform sign bits (stand-in for FEC parity)."""
     return np.random.default_rng(seed).integers(0, 2, size=n)
-
-
-def write_symbols_binary(path, symbols) -> None:
-    """Magic header + interleaved little-endian float64 (re, im)."""
-    sym = np.asarray(symbols, dtype=complex)
-    inter = np.empty(2 * sym.size, dtype="<f8")
-    inter[0::2] = sym.real
-    inter[1::2] = sym.imag
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(inter.tobytes())
-
-
-def read_symbols_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ParameterError(f"bad symbol file magic {magic!r}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size % 2:
-        raise ParameterError("truncated symbol file (odd float count)")
-    return raw[0::2] + 1j * raw[1::2]
-
-
-def write_symbols_csv(path, symbols) -> None:
-    sym = np.asarray(symbols, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sym:
-            fh.write(f"{float(s.real)!r},{float(s.imag)!r}\n")
-
-
-def read_symbols_csv(path) -> np.ndarray:
-    re, im = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            re.append(float(a))
-            im.append(float(b))
-    return np.asarray(re) + 1j * np.asarray(im)

@@ -2,7 +2,8 @@
 
 Everything here enumerates sequences directly over the alphabet product and
 applies membership rules position by position. None of it touches the
-dynamic-programming code under test.
+dynamic-programming code under test. The bit packers move one bit at a
+time, independently of the codec's binary-string slicing.
 """
 
 import itertools
@@ -121,6 +122,40 @@ def node_table(n, alphabet, e_max, band=None):
             column.append((e, back, len(prefixes[e])))
         table.append(column)
     return table
+
+
+def bytes_to_bits(data):
+    """MSB-first bit list of a byte string, one bit at a time."""
+    return [(byte >> shift) & 1 for byte in data for shift in range(7, -1, -1)]
+
+
+def bits_to_bytes(bits):
+    """Pack bits MSB-first, one at a time; the final byte is zero-padded."""
+    out = bytearray()
+    acc = fill = 0
+    for b in bits:
+        acc = (acc << 1) | b
+        fill += 1
+        if fill == 8:
+            out.append(acc)
+            acc = fill = 0
+    if fill:
+        out.append(acc << (8 - fill))
+    return bytes(out)
+
+
+def bits_to_index(bits):
+    """MSB-first bit block to integer."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
+
+
+def index_to_bits(index, k):
+    """Integer to MSB-first bit block of width k."""
+    assert 0 <= index < 1 << k
+    return [(index >> (k - 1 - i)) & 1 for i in range(k)]
 
 
 def population_var(values):

@@ -66,8 +66,8 @@ def test_criterion_1_small_trellis_exact():
     assert trellis.params.num_final_levels == 4
     assert max_shaping_bits(trellis) == 3
     seq = encode_index(trellis, 7)
-    assert seq.values == (3, 1, 3)
-    assert seq.energy == 19
+    assert seq == (3, 1, 3)
+    assert sum(a * a for a in seq) == 19
     assert decode_index(trellis, (3, 1, 3)) == 7
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -111,7 +111,7 @@ def test_criterion_2_bijectivity_grid():
                     assert total == len(oracle)
                     for i, want in enumerate(oracle):
                         seq = encode_index(trellis, i)
-                        assert seq.values == want
+                        assert seq == want
                         assert decode_index(trellis, seq) == i
                     cases += 1
                     bands_checked += band is not None

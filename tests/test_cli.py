@@ -1,6 +1,11 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandshape.cli import main
 from bandshape.trellis import (
@@ -10,9 +15,18 @@ from bandshape.trellis import (
     build_band_trellis,
     build_full_trellis,
     load_trellis,
+    max_shaping_bits,
     min_emax_for_bits,
     save_trellis,
     serialize,
+)
+
+from oracles import (
+    bits_to_bytes,
+    bits_to_index,
+    bytes_to_bits,
+    enumerate_sequences,
+    index_to_bits,
 )
 
 
@@ -140,6 +154,133 @@ class TestShapeDeshape:
                    "--out", str(tmp_path / "bits.bin")])
         assert rc != 0
         assert "line 2" in capsys.readouterr().err
+
+    def test_deshape_pads_partial_byte(self, tmp_path, capsys):
+        # k=3, indices 0, 7, 1: 9 bits 000 111 001, zero-padded to two bytes
+        trellis = build_toy(tmp_path)
+        amps = tmp_path / "amps.txt"
+        amps.write_text("1 1 1\n3 1 3\n1 1 3\n")
+        out = tmp_path / "bits.bin"
+        capsys.readouterr()
+        assert main(["deshape", "--trellis", str(trellis), "--in", str(amps),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == bytes([0b00011100, 0b10000000])
+        err = capsys.readouterr().err
+        assert "note: 9 bits zero-padded" in err
+        assert "deshaped 3 sequences" in err
+
+
+def build_single(tmp_path):
+    """A one-sequence codebook, (1, 1, 1), so k = 0."""
+    t = build_full_trellis(TrellisParams(3, Alphabet((1, 3, 5)), 3))
+    assert max_shaping_bits(t) == 0
+    path = tmp_path / "single.trellis"
+    save_trellis(t, path)
+    return path
+
+
+class TestZeroBitCodebook:
+    def test_nonempty_payload_framing_error(self, tmp_path, capsys):
+        trellis = build_single(tmp_path)
+        payload = tmp_path / "one.bin"
+        payload.write_bytes(b"\x00")
+        rc = main(["shape", "--trellis", str(trellis), "--in", str(payload),
+                   "--out", str(tmp_path / "amps.txt")])
+        assert rc == 2
+        assert "8 trailing bits do not fill a k=0 block" in capsys.readouterr().err
+
+    def test_empty_payload_zero_blocks(self, tmp_path, capsys):
+        trellis = build_single(tmp_path)
+        payload = tmp_path / "empty.bin"
+        payload.write_bytes(b"")
+        amps = tmp_path / "amps.txt"
+        assert main(["shape", "--trellis", str(trellis), "--in", str(payload),
+                     "--out", str(amps)]) == 0
+        assert amps.read_text() == ""
+        assert "shaped 0 blocks" in capsys.readouterr().err
+
+    def test_deshape_counts_lines(self, tmp_path, capsys):
+        trellis = build_single(tmp_path)
+        amps = tmp_path / "amps.txt"
+        amps.write_text("1 1 1\n1 1 1\n")
+        out = tmp_path / "bits.bin"
+        capsys.readouterr()
+        assert main(["deshape", "--trellis", str(trellis), "--in", str(amps),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert "deshaped 2 sequences" in capsys.readouterr().err
+
+
+@st.composite
+def small_codebooks(draw):
+    """(params, band) of a small trellis plus its sequences; about half the
+    draws hold fewer than two sequences (k = 0) and are skipped by the tests."""
+    n = draw(st.integers(2, 6))
+    amps = tuple(sorted(draw(st.sets(st.sampled_from((1, 3, 5, 7)), min_size=2))))
+    lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
+    e_max = lo + 8 * draw(st.integers(0, (hi - lo) // 8))
+    band = draw(st.none() | st.builds(BandParams, st.integers(1, 3), st.integers(0, 2)))
+    sequences = enumerate_sequences(n, amps, e_max,
+                                    band=(band.height, band.width) if band else None)
+    return TrellisParams(n, Alphabet(amps), e_max), band, sequences
+
+
+class TestShapeDeshapeOracle:
+    """The CLI against the per-bit packers and the brute-force enumeration."""
+
+    @staticmethod
+    def _trellis(codebook):
+        params, band, sequences = codebook
+        if len(sequences) < 2:
+            return None
+        t = build_band_trellis(params, band) if band else build_full_trellis(params)
+        assert t.num_sequences == len(sequences)
+        return t, sequences
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_codebooks(), st.data())
+    def test_shape_then_deshape(self, codebook, data):
+        built = self._trellis(codebook)
+        if built is None:
+            return
+        t, sequences = built
+        k = max_shaping_bits(t)
+        unit = math.lcm(k, 8) // 8  # bytes in the smallest whole-block payload
+        payload = data.draw(st.binary(max_size=4 * unit).map(
+            lambda b: b[: len(b) - len(b) % unit]))
+        bits = bytes_to_bits(payload)
+        want = [sequences[bits_to_index(bits[i:i + k])]
+                for i in range(0, len(bits), k)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_trellis(t, tmp / "t.trellis")
+            (tmp / "in.bin").write_bytes(payload)
+            assert main(["shape", "--trellis", str(tmp / "t.trellis"),
+                         "--in", str(tmp / "in.bin"), "--out", str(tmp / "amps.txt")]) == 0
+            lines = (tmp / "amps.txt").read_text().splitlines()
+            assert [tuple(int(v) for v in line.split()) for line in lines] == want
+            assert main(["deshape", "--trellis", str(tmp / "t.trellis"),
+                         "--in", str(tmp / "amps.txt"), "--out", str(tmp / "back.bin")]) == 0
+            assert (tmp / "back.bin").read_bytes() == payload
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_codebooks(), st.data())
+    def test_deshape_any_line_count(self, codebook, data):
+        built = self._trellis(codebook)
+        if built is None:
+            return
+        t, sequences = built
+        k = max_shaping_bits(t)
+        indices = data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=12))
+        bits = [b for i in indices for b in index_to_bits(i, k)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_trellis(t, tmp / "t.trellis")
+            (tmp / "amps.txt").write_text(
+                "".join(" ".join(map(str, sequences[i])) + "\n" for i in indices))
+            assert main(["deshape", "--trellis", str(tmp / "t.trellis"),
+                         "--in", str(tmp / "amps.txt"), "--out", str(tmp / "back.bin")]) == 0
+            assert (tmp / "back.bin").read_bytes() == bits_to_bytes(bits)
 
 
 class TestStats:

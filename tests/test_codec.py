@@ -1,12 +1,9 @@
 import pytest
 
 from bandshape.codec import (
-    AmplitudeSequence,
-    bits_to_index,
     decode_index,
     deshape,
     encode_index,
-    index_to_bits,
     shape,
     shape_stream,
 )
@@ -26,7 +23,7 @@ from bandshape.trellis import (
     max_shaping_bits,
 )
 
-from oracles import enumerate_sequences
+from oracles import bits_to_bytes, enumerate_sequences, index_to_bits
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -45,15 +42,15 @@ def narrow_band():
 
 class TestEncodeIndex:
     def test_first(self, toy):
-        assert encode_index(toy, 0).values == (1, 1, 1)
+        assert encode_index(toy, 0) == (1, 1, 1)
 
     def test_dashed_path(self, toy):
         seq = encode_index(toy, 7)
-        assert seq.values == (3, 1, 3)
-        assert seq.energy == 19
+        assert seq == (3, 1, 3)
+        assert sum(a * a for a in seq) == 19
 
     def test_last(self, toy):
-        assert encode_index(toy, 10).values == (5, 1, 1)
+        assert encode_index(toy, 10) == (5, 1, 1)
 
     def test_out_of_range(self, toy):
         with pytest.raises(IndexRangeError):
@@ -63,18 +60,18 @@ class TestEncodeIndex:
 
     def test_order_matches_enumeration(self, toy):
         want = enumerate_sequences(3, (1, 3, 5), 27)
-        got = [encode_index(toy, i).values for i in range(toy.num_sequences)]
+        got = [encode_index(toy, i) for i in range(toy.num_sequences)]
         assert got == want
 
     def test_band_order_matches_enumeration(self, narrow_band):
         want = enumerate_sequences(7, (1, 3, 5, 7), 63, band=(2, 1))
-        got = [encode_index(narrow_band, i).values
+        got = [encode_index(narrow_band, i)
                for i in range(narrow_band.num_sequences)]
         assert got == want
 
     def test_energy_bound(self, toy):
         for i in range(toy.num_sequences):
-            assert encode_index(toy, i).energy <= toy.params.e_max
+            assert sum(a * a for a in encode_index(toy, i)) <= toy.params.e_max
 
 
 class TestDecodeIndex:
@@ -107,59 +104,48 @@ class TestDecodeIndex:
 
 class TestShapeDeshape:
     def test_zero_block(self, toy):
-        assert shape(toy, (0, 0, 0)).values == (1, 1, 1)
+        assert shape(toy, 0b000) == (1, 1, 1)
 
     def test_all_ones_block(self, toy):
-        assert shape(toy, (1, 1, 1)).values == (3, 1, 3)
+        assert shape(toy, 0b111) == (3, 1, 3)
 
     def test_round_trip_every_block(self, toy):
         k = max_shaping_bits(toy)
         for i in range(2**k):
-            bits = index_to_bits(i, k)
-            assert deshape(toy, shape(toy, bits)) == bits
+            assert deshape(toy, shape(toy, i)) == i
 
     def test_out_of_codebook(self, toy):
         with pytest.raises(OutOfCodebookError):
             deshape(toy, (5, 1, 1))  # index 10 >= 2**3
 
     def test_wrong_block_length(self, toy):
+        # 8 needs four bits; k=3, although index 8 is in the trellis
         with pytest.raises(ParameterError):
-            shape(toy, (0, 0))
+            shape(toy, 0b1000)
 
     def test_non_binary_block(self, toy):
+        # a block is the value of k bits, so it is never negative
         with pytest.raises(ParameterError):
-            shape(toy, (0, 2, 0))
-
-
-class TestBitHelpers:
-    def test_msb_first(self):
-        assert bits_to_index((1, 0, 1)) == 5
-        assert index_to_bits(5, 3) == (1, 0, 1)
-
-    def test_zero_width(self):
-        assert index_to_bits(0, 0) == ()
-        assert bits_to_index(()) == 0
-
-    def test_round_trip(self):
-        for i in range(64):
-            assert bits_to_index(index_to_bits(i, 6)) == i
+            shape(toy, -1)
 
 
 class TestShapeStream:
     def test_two_blocks(self, toy):
+        # 24 bits, MSB first: blocks 000, 111, then six 000 blocks
         out = []
-        n = shape_stream(toy, [0, 0, 0, 1, 1, 1], out.append)
-        assert n == 2
-        assert [s.values for s in out] == [(1, 1, 1), (3, 1, 3)]
+        n = shape_stream(toy, bytes([0b00011100, 0, 0]), out.append)
+        assert n == 8
+        assert out == [(1, 1, 1), (3, 1, 3)] + [(1, 1, 1)] * 6
 
     def test_empty(self, toy):
         out = []
-        assert shape_stream(toy, [], out.append) == 0
+        assert shape_stream(toy, b"", out.append) == 0
         assert out == []
 
     def test_partial_block(self, toy):
+        # 8 bits, k=3: two trailing bits
         with pytest.raises(FramingError):
-            shape_stream(toy, [0, 0, 0, 1], lambda s: None)
+            shape_stream(toy, b"\x1f", lambda s: None)
 
     def test_many_random_blocks_round_trip(self):
         import random
@@ -167,10 +153,10 @@ class TestShapeStream:
         trellis = build_full_trellis(TrellisParams(12, A1357, 236))
         k = max_shaping_bits(trellis)
         rng = random.Random(1234)
-        blocks = [index_to_bits(rng.getrandbits(k), k) for _ in range(10_000)]
-        bits = [b for block in blocks for b in block]
+        blocks = [rng.getrandbits(k) for _ in range(10_000)]
+        payload = bits_to_bytes([b for i in blocks for b in index_to_bits(i, k)])
         got = []
-        shape_stream(trellis, bits, got.append)
+        shape_stream(trellis, payload, got.append)
         assert len(got) == len(blocks)
         for block, seq in zip(blocks, got):
             assert deshape(trellis, seq) == block
@@ -183,16 +169,7 @@ class TestBijectivityGrid:
             seen = set()
             for i in range(t.num_sequences):
                 seq = encode_index(t, i)
-                assert seq.values not in seen
-                seen.add(seq.values)
+                assert seq not in seen
+                seen.add(seq)
                 assert decode_index(t, seq) == i
             assert len(seen) == t.num_sequences
-
-
-class TestAmplitudeSequence:
-    def test_energy(self):
-        assert AmplitudeSequence((3, 1, 3)).energy == 19
-
-    def test_iterable(self):
-        assert list(AmplitudeSequence((1, 3))) == [1, 3]
-        assert len(AmplitudeSequence((1, 3))) == 2

@@ -8,10 +8,6 @@ from bandshape.pasmap import (
     map_qam,
     normalize,
     random_sign_bits,
-    read_symbols_binary,
-    read_symbols_csv,
-    write_symbols_binary,
-    write_symbols_csv,
 )
 
 
@@ -98,25 +94,3 @@ class TestSignBits:
         bits = random_sign_bits(1000, seed=1)
         assert set(np.unique(bits)) <= {0, 1}
 
-
-class TestSymbolFiles:
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        sym = rng.normal(size=100) + 1j * rng.normal(size=100)
-        path = tmp_path / "s.symf64"
-        write_symbols_binary(path, sym)
-        back = read_symbols_binary(path)
-        np.testing.assert_array_equal(back, sym)
-
-    def test_binary_magic(self, tmp_path):
-        path = tmp_path / "bad.symf64"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ParameterError):
-            read_symbols_binary(path)
-
-    def test_csv_round_trip(self, tmp_path):
-        sym = np.array([1.5 - 0.25j, -2.0 + 1.0j, 0.0 + 0.0j])
-        path = tmp_path / "s.csv"
-        write_symbols_csv(path, sym)
-        back = read_symbols_csv(path)
-        np.testing.assert_allclose(back, sym, atol=1e-15)

@@ -486,7 +486,7 @@ class TestSerialization:
         for i in data.draw(st.lists(st.integers(0, t.num_sequences - 1),
                                     min_size=1, max_size=8, unique=True)):
             seq = encode_index(u, i)
-            assert seq.energy <= params.e_max
+            assert sum(a * a for a in seq) <= params.e_max
             assert decode_index(u, seq) == i
 
     def test_large_block_round_trip(self):
