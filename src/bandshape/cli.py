@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .codec import deshape, shape_stream
+from .codec import deshape, shape_stream, whole_blocks
 from .errors import BandshapeError, ParameterError
 from .fibersim import FiberParams, LinkParams, run_sweep
 from .metrics import compare_trellises, exact_metrics, sampled_metrics
@@ -122,6 +122,9 @@ def cmd_shape(args) -> int:
     trellis = load_trellis(args.trellis)
     with open(args.infile, "rb") as fh:
         payload = fh.read()
+    # frame before opening --out, so a payload that does not frame leaves
+    # no partial amplitude file behind
+    whole_blocks(max_shaping_bits(trellis), len(payload))
     with open(args.out, "w", encoding="utf-8") as fh:
         def emit(seq: tuple[int, ...]) -> None:
             fh.write(" ".join(str(v) for v in seq) + "\n")

@@ -99,14 +99,23 @@ def shape_stream(trellis: Trellis, data: bytes,
     """Cut a payload into MSB-first k-bit blocks and shape each in order.
 
     Returns the number of blocks emitted. A trailing partial block raises
-    FramingError; nothing is padded implicitly.
+    FramingError before any block is emitted; nothing is padded implicitly.
     """
     k = max_shaping_bits(trellis)
-    n_bits = 8 * len(data)
-    blocks = n_bits // k if k else 0
-    bits = format(int.from_bytes(data, "big"), f"0{n_bits}b")
+    blocks = whole_blocks(k, len(data))
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
     for i in range(blocks):
         block_handler(shape(trellis, int(bits[i * k:(i + 1) * k], 2)))
+    return blocks
+
+
+def whole_blocks(k: int, n_bytes: int) -> int:
+    """Number of k-bit blocks in an n_bytes payload.
+
+    Raises FramingError when bits are left over (k = 0: any byte at all).
+    """
+    n_bits = 8 * n_bytes
+    blocks = n_bits // k if k else 0
     trailing = n_bits - blocks * k
     if trailing:
         raise FramingError(f"{trailing} trailing bits do not fill a k={k} block")

@@ -108,10 +108,6 @@ class Waveform:
         if self.samples.size and not np.isfinite(self.samples).all():
             raise NumericalError("waveform contains non-finite samples")
 
-    @property
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
 
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     """Unit-energy root-raised-cosine taps over span_symbols symbols.
@@ -203,15 +199,17 @@ def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float) -> Wavefor
             )
         return filters[key]
 
-    spectrum = fft(u)
+    # u is this call's own copy, so every transform may overwrite it: one
+    # buffer carries the samples and spectra of the whole span
+    spectrum = fft(u, overwrite_x=True)
     spectrum *= linear(steps[0] / 2)
-    u = ifft(spectrum)
+    u = ifft(spectrum, overwrite_x=True)
     for m, dz in enumerate(steps):
         _kernels.kerr_phase(u, gamma * dz)
         tail = steps[m + 1] if m + 1 < len(steps) else None
-        spectrum = fft(u)
+        spectrum = fft(u, overwrite_x=True)
         spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
-        u = ifft(spectrum)
+        u = ifft(spectrum, overwrite_x=True)
         if (m % 32 == 31 or tail is None) and not np.isfinite(u).all():
             raise NumericalError(
                 f"non-finite samples after {sum(steps[: m + 1]):.3f} km"

@@ -57,7 +57,6 @@ class SequenceEnergyStats:
 
     mean_e: float
     var_e: float
-    profile: tuple[int, ...]
 
 
 def _metrics_from_occurrences(alphabet, occ, total) -> tuple:
@@ -146,10 +145,7 @@ def sequence_energy_stats(seq) -> SequenceEnergyStats:
     n = len(sq)
     mean = sum(sq) / n
     var = sum((x - mean) ** 2 for x in sq) / n
-    profile = [0]
-    for x in sq:
-        profile.append(profile[-1] + x)
-    return SequenceEnergyStats(mean, var, tuple(profile))
+    return SequenceEnergyStats(mean, var)
 
 
 def windowed_energy_deviation(seq, window_len: int):

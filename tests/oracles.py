@@ -3,12 +3,17 @@
 Everything here enumerates sequences directly over the alphabet product and
 applies membership rules position by position. None of it touches the
 dynamic-programming code under test. The bit packers move one bit at a
-time, independently of the codec's binary-string slicing.
+time, independently of the codec's binary-string slicing. The split-step
+references keep the plain numpy expressions and the out-of-place transforms
+that the in-place propagator must reproduce bit for bit.
 """
 
 import itertools
 import math
 from collections import defaultdict
+
+import numpy as np
+from scipy.fft import fft, fftfreq, ifft
 
 
 def band_bounds(col, n_total, e_max, height, width, a_max):
@@ -165,3 +170,40 @@ def population_var(values):
 
 def db(x, y):
     return 10.0 * math.log10(x / y)
+
+
+def kerr_phase_reference(samples, coeff):
+    """In-place samples *= exp(1j * coeff * |samples|^2), as one expression."""
+    power = samples.real**2 + samples.imag**2
+    samples *= np.exp(1j * coeff * power)
+    return samples
+
+
+def ssfm_reference(samples, sample_rate_hz, fiber, step_km):
+    """Symmetric split-step span with a fresh array from every transform.
+
+    The same step list, fused half-step filters and Kerr phase as the
+    propagator under test, without its checks or its buffer reuse.
+    """
+    u = np.array(samples, dtype=complex)
+    length = fiber.length_km
+    n_steps = max(1, math.ceil(length / step_km - 1e-12))
+    steps = [step_km] * (n_steps - 1)
+    steps.append(length - step_km * (n_steps - 1))
+    omega = 2 * np.pi * fftfreq(u.size, 1 / sample_rate_hz)
+    beta2_km = fiber.beta2_s2_per_m * 1e3
+    alpha_km = fiber.alpha_db_per_km * math.log(10) / 10
+
+    def linear(dz_km):
+        return np.exp((0.5j * beta2_km * omega**2 - 0.5 * alpha_km) * dz_km)
+
+    spectrum = fft(u)
+    spectrum *= linear(steps[0] / 2)
+    u = ifft(spectrum)
+    for m, dz in enumerate(steps):
+        kerr_phase_reference(u, fiber.gamma_per_w_km * dz)
+        tail = steps[m + 1] if m + 1 < len(steps) else None
+        spectrum = fft(u)
+        spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
+        u = ifft(spectrum)
+    return u

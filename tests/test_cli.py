@@ -141,9 +141,12 @@ class TestShapeDeshape:
         trellis = build_toy(tmp_path)
         bits_in = tmp_path / "bad.bin"
         bits_in.write_bytes(b"\xaa")  # 8 bits, k=3 -> trailing 2 bits
+        amps = tmp_path / "amps.txt"
         rc = main(["shape", "--trellis", str(trellis), "--in", str(bits_in),
-                   "--out", str(tmp_path / "amps.txt")])
-        assert rc != 0
+                   "--out", str(amps)])
+        assert rc == 2
+        assert "2 trailing bits do not fill a k=3 block" in capsys.readouterr().err
+        assert not amps.exists()  # not even the two whole blocks before the tail
 
     def test_out_of_codebook_names_line(self, tmp_path, capsys):
         trellis = build_toy(tmp_path)
@@ -184,10 +187,12 @@ class TestZeroBitCodebook:
         trellis = build_single(tmp_path)
         payload = tmp_path / "one.bin"
         payload.write_bytes(b"\x00")
+        amps = tmp_path / "amps.txt"
         rc = main(["shape", "--trellis", str(trellis), "--in", str(payload),
-                   "--out", str(tmp_path / "amps.txt")])
+                   "--out", str(amps)])
         assert rc == 2
         assert "8 trailing bits do not fill a k=0 block" in capsys.readouterr().err
+        assert not amps.exists()
 
     def test_empty_payload_zero_blocks(self, tmp_path, capsys):
         trellis = build_single(tmp_path)

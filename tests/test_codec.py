@@ -143,9 +143,11 @@ class TestShapeStream:
         assert out == []
 
     def test_partial_block(self, toy):
-        # 8 bits, k=3: two trailing bits
+        # 8 bits, k=3: two trailing bits, raised before the two whole blocks
+        out = []
         with pytest.raises(FramingError):
-            shape_stream(toy, b"\x1f", lambda s: None)
+            shape_stream(toy, b"\x1f", out.append)
+        assert out == []
 
     def test_many_random_blocks_round_trip(self):
         import random

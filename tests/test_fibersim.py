@@ -21,6 +21,8 @@ from bandshape.fibersim import (
 )
 from bandshape.trellis import Alphabet, TrellisParams, build_full_trellis
 
+from oracles import kerr_phase_reference, ssfm_reference
+
 SPAN_FIBER = FiberParams(
     alpha_db_per_km=0.2, dispersion_ps_nm_km=17.0, gamma_per_w_km=1.3,
     length_km=205.0,
@@ -54,6 +56,15 @@ class TestKernels:
         u = rng.normal(size=256) + 1j * rng.normal(size=256)
         out = _kernels.kerr_phase(u.copy(), 1.7)
         np.testing.assert_allclose(np.abs(out), np.abs(u), rtol=1e-12)
+
+    # from near 0 to phases that wrap past 2*pi many times (|u|^2 up to ~30)
+    @pytest.mark.parametrize("coeff", [0.0, 1e-300, 1e-12, 0.037, 1.7, 250.0])
+    def test_numpy_path_matches_reference_exactly(self, coeff):
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        got = u.copy()
+        assert _kernels.kerr_phase_numpy(got, coeff) is got
+        assert np.array_equal(got, kerr_phase_reference(u.copy(), coeff))
 
 
 class TestRrcTaps:
@@ -175,6 +186,25 @@ class TestSsfm:
         wf = random_qam_waveform(seed=10)
         out = ssfm_span(wf, fiber, step_km=1.0)
         np.testing.assert_allclose(out.samples, wf.samples, atol=1e-15)
+
+    def test_matches_reference_exactly(self, monkeypatch):
+        # 10 full steps and a 0.3 km tail: fused filters for 0.5, 1.0, 0.65
+        # and 0.15 km; 20 mW makes the Kerr phase matter
+        monkeypatch.setattr(_kernels, "kerr_phase", _kernels.kerr_phase_numpy)
+        fiber = FiberParams(0.2, 17.0, 1.3, 10.3)
+        wf = random_qam_waveform(seed=11)
+        wf.samples *= np.sqrt(20e-3 / np.mean(np.abs(wf.samples) ** 2))
+        out = ssfm_span(wf, fiber, step_km=1.0)
+        ref = ssfm_reference(wf.samples, wf.sample_rate_hz, fiber, 1.0)
+        assert np.array_equal(out.samples, ref)
+
+    def test_input_untouched(self):
+        fiber = FiberParams(0.2, 17.0, 1.3, 3.5)
+        wf = random_qam_waveform(seed=12)
+        before = wf.samples.copy()
+        out = ssfm_span(wf, fiber, step_km=1.0)
+        assert np.array_equal(wf.samples, before)
+        assert not np.shares_memory(out.samples, wf.samples)
 
 
 class TestEdfa:

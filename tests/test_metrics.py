@@ -142,11 +142,6 @@ class TestSequenceEnergyStats:
         assert s.mean_e == 1.0
         assert s.var_e == 0.0
 
-    def test_profile(self):
-        s = sequence_energy_stats((3, 1, 3))
-        assert s.profile == (0, 9, 10, 19)
-        assert all(b >= a for a, b in zip(s.profile, s.profile[1:]))
-
 
 class TestWindowedEnergyDeviation:
     def test_whole_sequence_window(self):
