@@ -11,7 +11,6 @@ from .codec import (
 from .fibersim import (
     FiberParams,
     LinkParams,
-    Waveform,
     cd_compensate,
     demodulate,
     edfa,
@@ -35,7 +34,7 @@ from .metrics import (
     sequence_energy_stats,
     windowed_energy_deviation,
 )
-from .pasmap import SymbolStream, map_ask, map_qam, normalize, random_sign_bits
+from .pasmap import map_ask, map_qam, normalize
 from .trellis import (
     Alphabet,
     BandParams,

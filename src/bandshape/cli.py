@@ -83,18 +83,18 @@ def _summary_lines(trellis: Trellis) -> list[str]:
     ]
 
 
+def _metric_lines(m, prefix: str) -> list[str]:
+    """Amplitude probabilities and moments of exact or sampled metrics."""
+    lines = [f"{prefix}p_{a}={pa!r}" for a, pa in zip(m.alphabet, m.p_amp)]
+    return lines + [f"{prefix}{key}={getattr(m, key)!r}"
+                    for key in ("e2", "e4", "var_e", "kurtosis")]
+
+
 def cmd_trellis(args) -> int:
     if args.action == "info":
         trellis = load_trellis(args.file)
-        for line in _summary_lines(trellis):
+        for line in _summary_lines(trellis) + _metric_lines(exact_metrics(trellis), ""):
             print(line)
-        m = exact_metrics(trellis)
-        for a, pa in zip(m.alphabet, m.p_amp):
-            print(f"p_{a}={pa!r}")
-        print(f"e2={m.e2!r}")
-        print(f"e4={m.e4!r}")
-        print(f"var_e={m.var_e!r}")
-        print(f"kurtosis={m.kurtosis!r}")
         return 0
     alphabet = _parse_alphabet(args.alphabet)
     band = _parse_band(args.band) if args.band else None
@@ -169,18 +169,8 @@ def cmd_stats(args) -> int:
                               exhaustive=args.exhaustive)
     print(f"sequences={trellis.num_sequences}")
     print(f"bits={k}")
-    for a, pa in zip(exact.alphabet, exact.p_amp):
-        print(f"exact_p_{a}={pa!r}")
-    print(f"exact_e2={exact.e2!r}")
-    print(f"exact_e4={exact.e4!r}")
-    print(f"exact_var_e={exact.var_e!r}")
-    print(f"exact_kurtosis={exact.kurtosis!r}")
-    for a, pa in zip(sampled.alphabet, sampled.p_amp):
-        print(f"sampled_p_{a}={pa!r}")
-    print(f"sampled_e2={sampled.e2!r}")
-    print(f"sampled_e4={sampled.e4!r}")
-    print(f"sampled_var_e={sampled.var_e!r}")
-    print(f"sampled_kurtosis={sampled.kurtosis!r}")
+    for line in _metric_lines(exact, "exact_") + _metric_lines(sampled, "sampled_"):
+        print(line)
     print(f"sampled_se_e2={sampled.se_e2!r}")
     print(f"sampled_num_samples={sampled.num_samples}")
     print(f"sampled_seed={sampled.seed}")

@@ -16,13 +16,13 @@ receiver-side compensator applies the conjugate filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, fftfreq, next_fast_len
 from scipy.signal import fftconvolve, upfirdn
 
-from . import _kernels
+from . import _kernels, pasmap
 from .codec import encode_index
 from .errors import NumericalError, ParameterError
 from .trellis import Trellis, max_shaping_bits
@@ -66,12 +66,12 @@ class LinkParams:
     rrc_rolloff: float
     edfa_nf_db: float
     launch_power_dbm: float
-    sps: int = 16
-    step_km: float = 0.1
-    seed: int = 0
-    burst_symbols: int = 16384
-    filter_span_symbols: int = 64
-    guard_symbols: int = 512
+    sps: int
+    step_km: float
+    seed: int
+    burst_symbols: int
+    filter_span_symbols: int
+    guard_symbols: int
 
     def __post_init__(self):
         if self.baud_rate_gbd <= 0:
@@ -96,17 +96,6 @@ class LinkParams:
     @property
     def sample_rate_hz(self) -> float:
         return self.symbol_rate_hz * self.sps
-
-
-@dataclass
-class Waveform:
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=complex)
-        if self.samples.size and not np.isfinite(self.samples).all():
-            raise NumericalError("waveform contains non-finite samples")
 
 
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
@@ -136,20 +125,18 @@ def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     return h / np.sqrt(np.sum(h * h))
 
 
-def modulate(symbols, sps: int, taps: np.ndarray, symbol_rate_hz: float) -> Waveform:
+def modulate(symbols, sps: int, taps: np.ndarray) -> np.ndarray:
     """Upsample by sps and pulse-shape (linear convolution)."""
-    sym = np.asarray(symbols, dtype=complex)
-    out = upfirdn(taps, sym, up=sps)
-    return Waveform(out, symbol_rate_hz * sps)
+    return upfirdn(taps, np.asarray(symbols, dtype=complex), up=sps)
 
 
-def demodulate(waveform: Waveform, taps: np.ndarray, sps: int, delay: int) -> np.ndarray:
+def demodulate(samples, taps: np.ndarray, sps: int, delay: int) -> np.ndarray:
     """Matched-filter, skip the accumulated filter delay, downsample.
 
     Returns every complete symbol from the delay point on; callers slice to
     the count they sent.
     """
-    y = fftconvolve(waveform.samples, taps, mode="full")
+    y = fftconvolve(samples, taps, mode="full")
     if delay >= y.size:
         raise ParameterError(
             f"delay {delay} leaves no samples (filtered length {y.size})"
@@ -165,26 +152,27 @@ def _scale_to_power(samples: np.ndarray, power_dbm: float) -> np.ndarray:
     return samples * math.sqrt(target_w / current)
 
 
-def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float) -> Waveform:
-    """Symmetric split-step propagation over one span.
+def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
+              step_km: float) -> np.ndarray:
+    """Symmetric split-step propagation over one span; returns a new array.
 
     Fixed step with a shorter final step when the length is not a multiple;
     consecutive linear half-steps are fused so each step costs one
     FFT/IFFT pair. Periodic (FFT) boundary; callers discard a guard ring.
     """
-    if waveform.samples.size == 0:
+    u = np.array(samples, dtype=complex)
+    if u.size == 0:
         raise ParameterError("waveform is empty")
     if step_km <= 0:
         raise ParameterError("step_km must be positive")
-    u = waveform.samples.copy()
     length = fiber.length_km
     if length == 0:
-        return Waveform(u, waveform.sample_rate_hz)
+        return u
     n_steps = max(1, math.ceil(length / step_km - 1e-12))
     steps = [step_km] * (n_steps - 1)
     steps.append(length - step_km * (n_steps - 1))
 
-    omega = 2 * np.pi * fftfreq(u.size, 1 / waveform.sample_rate_hz)
+    omega = 2 * np.pi * fftfreq(u.size, 1 / sample_rate_hz)
     beta2_km = fiber.beta2_s2_per_m * 1e3  # s^2/km
     alpha_km = fiber.alpha_db_per_km * math.log(10) / 10  # 1/km, power
     gamma = fiber.gamma_per_w_km
@@ -214,11 +202,11 @@ def ssfm_span(waveform: Waveform, fiber: FiberParams, step_km: float) -> Wavefor
             raise NumericalError(
                 f"non-finite samples after {sum(steps[: m + 1]):.3f} km"
             )
-    return Waveform(u, waveform.sample_rate_hz)
+    return u
 
 
-def edfa(waveform: Waveform, gain_db: float, nf_db: float, seed,
-         ref_wavelength_nm: float = 1550.0) -> Waveform:
+def edfa(samples, sample_rate_hz: float, gain_db: float, nf_db: float, seed,
+         ref_wavelength_nm: float = 1550.0) -> np.ndarray:
     """Flat amplifier with single-polarization ASE noise.
 
     Noise PSD S = n_sp (G-1) h nu with n_sp = NF_lin / 2; total complex
@@ -227,26 +215,25 @@ def edfa(waveform: Waveform, gain_db: float, nf_db: float, seed,
     if gain_db < 0:
         raise ParameterError("EDFA gain must be >= 1 (0 dB)")
     g = 10 ** (gain_db / 10)
-    out = waveform.samples * math.sqrt(g)
+    out = np.asarray(samples, dtype=complex) * math.sqrt(g)
     if g > 1:
         n_sp = 10 ** (nf_db / 10) / 2
         nu = SPEED_OF_LIGHT / (ref_wavelength_nm * 1e-9)
         psd = n_sp * (g - 1) * PLANCK * nu
-        var = psd * waveform.sample_rate_hz
+        var = psd * sample_rate_hz
         rng = np.random.default_rng(seed)
         scale = math.sqrt(var / 2)
         out = out + scale * (
             rng.normal(size=out.size) + 1j * rng.normal(size=out.size)
         )
-    return Waveform(out, waveform.sample_rate_hz)
+    return out
 
 
-def cd_compensate(waveform: Waveform, fiber: FiberParams) -> Waveform:
+def cd_compensate(samples, sample_rate_hz: float, fiber: FiberParams) -> np.ndarray:
     """Exact inverse of the span's dispersion (loss untouched)."""
-    omega = 2 * np.pi * fftfreq(waveform.samples.size, 1 / waveform.sample_rate_hz)
+    omega = 2 * np.pi * fftfreq(len(samples), 1 / sample_rate_hz)
     phase = 0.5 * fiber.beta2_s2_per_m * omega**2 * fiber.length_km * 1e3
-    out = ifft(fft(waveform.samples) * np.exp(-1j * phase))
-    return Waveform(out, waveform.sample_rate_hz)
+    return ifft(fft(samples) * np.exp(-1j * phase))
 
 
 def effective_snr(tx_symbols, rx_symbols) -> float:
@@ -269,16 +256,14 @@ def effective_snr(tx_symbols, rx_symbols) -> float:
 
 
 def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
-             fiber: FiberParams) -> dict:
+             fiber: FiberParams) -> float:
     """Full chain from shaped amplitude rails (flat 1-D arrays) to
-    effective SNR.
+    effective SNR in dB.
 
     Sign bits and ASE noise derive deterministically from link.seed; the
     EDFA gain exactly compensates the span loss; the first and last
     guard_symbols are excluded from the SNR measurement.
     """
-    from .pasmap import map_ask, map_qam, normalize
-
     i_rail = np.asarray(i_amplitudes, dtype=float)
     q_rail = np.asarray(q_amplitudes, dtype=float)
     if i_rail.ndim != 1 or q_rail.ndim != 1:
@@ -291,33 +276,30 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
         raise ParameterError(
             f"need {n} amplitudes per rail, got {i_rail.size}/{q_rail.size}"
         )
+    if not (np.isfinite(i_rail[:n]).all() and np.isfinite(q_rail[:n]).all()):
+        raise ParameterError("amplitude rails must be finite")
     ss_signs, ss_ase = np.random.SeedSequence(link.seed).spawn(2)
     rng = np.random.default_rng(ss_signs)
-    tx = normalize(
-        map_qam(
-            map_ask(i_rail[:n], rng.integers(0, 2, n)),
-            map_ask(q_rail[:n], rng.integers(0, 2, n)),
+    tx = pasmap.normalize(
+        pasmap.map_qam(
+            pasmap.map_ask(i_rail[:n], rng.integers(0, 2, n)),
+            pasmap.map_ask(q_rail[:n], rng.integers(0, 2, n)),
         )
-    ).symbols
+    )
     taps = rrc_taps(link.rrc_rolloff, link.filter_span_symbols, link.sps)
-    wf = modulate(tx, link.sps, taps, link.symbol_rate_hz)
-    scaled = _scale_to_power(wf.samples, link.launch_power_dbm)
+    rate = link.sample_rate_hz
+    scaled = _scale_to_power(modulate(tx, link.sps, taps), link.launch_power_dbm)
     # zero-pad to an FFT-friendly length: a dark guard interval that keeps
     # pocketfft off its slow large-prime path and absorbs the circular wrap
     padded = np.zeros(next_fast_len(scaled.size), dtype=complex)
     padded[: scaled.size] = scaled
-    wf = Waveform(padded, wf.sample_rate_hz)
-    wf = ssfm_span(wf, fiber, link.step_km)
+    u = ssfm_span(padded, rate, fiber, link.step_km)
     gain_db = fiber.alpha_db_per_km * fiber.length_km
-    wf = edfa(wf, gain_db, link.edfa_nf_db, ss_ase, fiber.ref_wavelength_nm)
-    wf = cd_compensate(wf, fiber)
-    rx = demodulate(wf, taps, link.sps, delay=taps.size - 1)[:n]
+    u = edfa(u, rate, gain_db, link.edfa_nf_db, ss_ase, fiber.ref_wavelength_nm)
+    u = cd_compensate(u, rate, fiber)
+    rx = demodulate(u, taps, link.sps, delay=taps.size - 1)[:n]
     g = link.guard_symbols
-    snr = effective_snr(tx[g:n - g], rx[g:n - g])
-    return {
-        "effective_snr_db": snr,
-        "launch_power_dbm": link.launch_power_dbm,
-    }
+    return effective_snr(tx[g:n - g], rx[g:n - g])
 
 
 def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -338,9 +320,9 @@ def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarra
     return rails[0], rails[1]
 
 
-def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds,
+def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
               link: LinkParams, fiber: FiberParams) -> list[dict]:
-    """Grid of run_link calls over (scheme, launch power, seed).
+    """Grid of run_link calls over (scheme, launch power, seed index).
 
     Seed index si maps to the same derived link seed for every scheme, so
     schemes see identical sign-bit and ASE realizations (common random
@@ -349,24 +331,19 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds,
     """
     from dataclasses import replace
 
-    if isinstance(seeds, int):
-        seed_indices = range(seeds)
-    else:
-        seed_indices = list(seeds)
     rows = []
     for scheme, trellis in trellis_by_scheme.items():
-        for si in seed_indices:
+        for si in range(seeds):
             derived = (link.seed * 1000003 + si) % (1 << 63)
             i_rail, q_rail = _shaped_rails(
                 trellis, link.burst_symbols, f"{link.seed}:{si}:data"
             )
             for p in powers:
                 run = replace(link, launch_power_dbm=float(p), seed=derived)
-                res = run_link(i_rail, q_rail, run, fiber)
                 rows.append({
                     "scheme": scheme,
                     "launch_power_dbm": float(p),
-                    "snr_db": res["effective_snr_db"],
+                    "snr_db": run_link(i_rail, q_rail, run, fiber),
                     "seed": derived,
                     "step_km": link.step_km,
                     "sps": link.sps,

@@ -212,16 +212,18 @@ class BandOperatingPoint:
     score: float
 
 
+# the band search's trade-off targets against the full-sphere codebook and
+# the tolerance that scales each axis of the score, all in dB
+TARGET_E2_DB, TARGET_VAR_DB = 0.44, -0.67
+TOL_E2_DB, TOL_VAR_DB = 0.15, 0.20
+
+
 def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet, k: int,
-                              target_e2_db: float = 0.44,
-                              target_var_db: float = -0.67,
-                              tol_e2_db: float = 0.15,
-                              tol_var_db: float = 0.20,
                               heights=range(2, 17),
                               widths=range(0, 3)) -> BandOperatingPoint:
     """Search band geometries holding 2**k sequences for the one whose
     energy/variance trade-off against the full-sphere codebook lands closest
-    to the requested dB targets, each axis scaled by its tolerance.
+    to the dB targets above, each axis scaled by its tolerance.
     Candidates with kurtosis at or above the full-sphere value are rejected
     outright.
     """
@@ -246,8 +248,8 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet, k: int,
                 continue
             delta_e2 = compare_db(banded.e2, ess.e2)
             delta_var = compare_db(banded.var_e, ess.var_e)
-            score = math.hypot((delta_e2 - target_e2_db) / tol_e2_db,
-                               (delta_var - target_var_db) / tol_var_db)
+            score = math.hypot((delta_e2 - TARGET_E2_DB) / TOL_E2_DB,
+                               (delta_var - TARGET_VAR_DB) / TOL_VAR_DB)
             if best is None or score < best.score:
                 best = BandOperatingPoint(
                     band, e_max, ess_e_max, ess, banded,
