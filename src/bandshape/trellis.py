@@ -13,7 +13,7 @@ admitted sequences accumulate energy near-linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import (
     EmptyCodebookError,
@@ -177,17 +177,23 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
         raise ParameterError(f"band width {band.width} exceeds n={n_len}")
     min_sq, max_sq = params.alphabet.squares[0], params.alphabet.squares[-1]
     top = (e_max - n_len * min_sq) // 8
+    if band is None:
+        yield from repeat((0, top), n_len)
+        return
+    # inline conditionals instead of min/max: the band search calls this
+    # thousands of times; e_max >= n also keeps the ramp cap m*e_max//n >= m
+    drop, tail = 8 * (band.height - 1), n_len - band.width
     for m in range(1, n_len + 1):
-        if band is None:
-            yield 0, top
-            continue
-        if m >= n_len - band.width:
-            hi = min(m * max_sq, e_max - (n_len - m))
+        if m < tail:
+            hi = m * e_max // n_len
+            hi -= (hi - m) % 8
         else:
-            cap = max(m, (m * e_max) // n_len)
-            hi = cap - ((cap - m) % 8)
-        lo = max(m, hi - 8 * (band.height - 1))
-        yield (lo - m * min_sq) // 8, min(top, (hi - m * min_sq) // 8)
+            hi = m * max_sq
+            if hi > e_max - n_len + m:
+                hi = e_max - n_len + m
+        lo = hi - drop if hi - drop > m else m
+        hi = (hi - m * min_sq) // 8
+        yield (lo - m * min_sq) // 8, hi if hi < top else top
 
 
 def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -200,6 +206,7 @@ def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, in
     """
     col, base = 1, 0
     cols = [(base, col)]
+    masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
     for lo, hi in windows:
         nxt = 0
         for s in shifts:
@@ -210,7 +217,10 @@ def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, in
             base = lo
         if hi < base:
             break
-        col &= (1 << (width * (hi - base + 1))) - 1
+        span = hi - base + 1
+        if span not in masks:
+            masks[span] = (1 << (width * span)) - 1
+        col &= masks[span]
         if not col:
             break
         cols.append((base, col))
@@ -225,6 +235,84 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     cols = _forward(_level_windows(params, band), width, shifts)
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
+
+
+def _union_counter(n_amplitudes: int, alphabet: Alphabet, band: BandParams):
+    """count(e_low, e_high) for grid e_max values e_low <= e_high.
+
+    Both edges of every column window from _level_windows are monotone in
+    e_max: the ramp cap m*e_max//n and the full-top ramp (both snapped onto
+    the column's grid), the floor 8*(height-1) below them, and the tail bound
+    top. So the windows of every grid e_max in [e_low, e_high] lie inside
+    (lo at e_low, hi at e_high), column by column, and count returns the
+    paths through those union windows: at least the sequence count of each
+    e_max in the range, and exactly that count when e_low == e_high. Each
+    e_max's windows are computed once per counter.
+    """
+    width, shifts = _packing(n_amplitudes, alphabet)
+    windows: dict[int, list[tuple[int, int]]] = {}
+
+    def column_windows(e_max):
+        if e_max not in windows:
+            params = TrellisParams(n_amplitudes, alphabet, e_max)
+            windows[e_max] = list(_level_windows(params, band))
+        return windows[e_max]
+
+    def count(e_low: int, e_high: int) -> int:
+        union = [(lo, hi) for (lo, _), (_, hi)
+                 in zip(column_windows(e_low), column_windows(e_high))]
+        cols = _forward(union, width, shifts)
+        return cols[-1][1] % ((1 << width) - 1) if len(cols) > n_amplitudes else 0
+
+    return count
+
+
+def _slope_bound(n_amplitudes: int, alphabet: Alphabet, band: BandParams,
+                 e_low: int, e_high: int) -> int:
+    """Upper bound on the band count of every grid e_max in [e_low, e_high],
+    for a range inside one slope class (e_max - n) // (8n).
+
+    Off the full-top columns, the window top of _level_windows sits at level
+    floor(m*s) - m*c, with s = (e_max - n)/(8n) and c = (a_min**2 - 1)/8, so
+    from one column to the next it moves up by floor(s) - c or that plus 1,
+    and floor(s) is the class. On a full-top column the move lies between
+    the tops of the range's two ends. Counting paths by how far below the
+    top they sit, one step of a given move is a fixed linear map with
+    nonnegative entries; taking, level by level, the largest result over the
+    column's possible moves bounds every e_max's counts from above at every
+    column, so the final sum bounds its sequence count. Windows are taken as
+    the full height below their top, never smaller than _level_windows
+    makes them. One pass costs about height * |alphabet| additions per
+    column, and covers the class's n grid points.
+    """
+    squares = alphabet.squares
+    steps = [(s - squares[0]) // 8 for s in squares]
+    reach = steps[-1]
+    tops = []
+    for e_max in (e_low, e_high):
+        params = TrellisParams(n_amplitudes, alphabet, e_max)
+        tops.append([0, *(hi for _, hi in _level_windows(params, band))])
+    ramp = (e_low - n_amplitudes) // (8 * n_amplitudes) - (squares[0] - 1) // 8
+    height, tail = band.height, n_amplitudes - band.width
+    counts = [1] + [0] * (height - 1)  # paths 0, 1, ... levels below the top
+    for m in range(1, n_amplitudes + 1):
+        if m < tail:
+            moves = range(ramp, ramp + 2)
+        else:
+            moves = range(max(tops[0][m] - tops[1][m - 1], -height),
+                          min(tops[1][m] - tops[0][m - 1], height + reach) + 1)
+        # stepped[height + reach + j]: paths landing j levels below the old top
+        stepped = [0] * (3 * height + 2 * reach)
+        for below, paths in enumerate(counts):
+            if paths:
+                for d in steps:
+                    stepped[height + reach + below - d] += paths
+        nxt = [0] * height
+        for move in moves:
+            start = height + reach - move
+            nxt = list(map(max, nxt, stepped[start:start + height]))
+        counts = nxt
+    return sum(counts)
 
 
 def _build(params: TrellisParams, band: BandParams | None,
@@ -296,6 +384,10 @@ def max_shaping_bits(trellis: Trellis) -> int:
     return trellis.num_sequences.bit_length() - 1
 
 
+# grid points under the band search's first union bound of each run within a class
+_SEARCH_RUN = 16
+
+
 def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
                       band: BandParams | None = None,
                       scan_from: int | None = None) -> int:
@@ -304,11 +396,23 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     The full-trellis count at e_max is the energy distribution of all
     length-n sequences (the n-th power of _packing's step polynomial) summed
     up to e_max, so that case sums one distribution level by level up to
-    2**k. A band trellis shifts its whole window as e_max grows and
-    its count is not monotone, so the band case scans the grid from the
-    bottom and returns the first hit. scan_from, when given, must be a known
+    2**k. A band trellis shifts its whole window as e_max grows and its
+    count is not monotone, so the band case looks for the first grid point
+    that reaches 2**k, from the bottom up, with two exact upper bounds on
+    the counts of whole ranges of e_max. The grid splits into slope classes
+    of n points, the e_max with one (e_max - n) // (8n); _slope_bound covers
+    a class in one pass, and a class whose bound stays below 2**k is
+    skipped. Within any other class, every window edge is monotone in e_max,
+    so one forward pass over the union windows of a grid range bounds the
+    count of every e_max in it (_union_counter). The class is walked in runs
+    of _SEARCH_RUN points: a run whose bound stays below 2**k is skipped
+    whole, any other run is halved, left half first, down to single points,
+    which are counted exactly. That returns the first hit of a
+    point-by-point scan, and a geometry that never reaches 2**k is proved so
+    without counting every point. scan_from, when given, must be a known
     lower bound on the answer (the full-trellis minimum always is, since a
-    band never holds more sequences than its sphere).
+    band never holds more sequences than its sphere); it is rounded up onto
+    the grid.
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
@@ -333,10 +437,29 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
             dist >>= width
             e += 8
     if scan_from is not None:
-        lo = max(lo, scan_from)
-    for e in range(lo, hi + 1, 8):
-        if _count_only(TrellisParams(n_amplitudes, alphabet, e), band) >= target:
-            return e
+        lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
+
+    def first_hit(count, e_low, e_high):
+        if count(e_low, e_high) < target:
+            return None
+        if e_low == e_high:
+            return e_low
+        mid = e_low + 8 * ((e_high - e_low) // 16)
+        hit = first_hit(count, e_low, mid)
+        return hit if hit is not None else first_hit(count, mid + 8, e_high)
+
+    span = 8 * n_amplitudes  # the energy range of one slope class, n grid points
+    for first in range(lo - (lo - n_amplitudes) % span, hi + 1, span):
+        e_low, e_high = max(lo, first), min(hi, first + span - 8)
+        if _slope_bound(n_amplitudes, alphabet, band, e_low, e_high) < target:
+            continue
+        for start in range(e_low, e_high + 1, 8 * _SEARCH_RUN):
+            # a fresh counter per run: no bound reaches outside its run, and
+            # dropping the run's cached windows keeps the search's memory flat
+            count = _union_counter(n_amplitudes, alphabet, band)
+            hit = first_hit(count, start, min(e_high, start + 8 * (_SEARCH_RUN - 1)))
+            if hit is not None:
+                return hit
     raise InfeasibleRateError(
         f"band h={band.height}, w={band.width} never reaches k={k}"
     )

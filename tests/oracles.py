@@ -15,6 +15,9 @@ from collections import defaultdict
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft
 
+from bandshape.errors import InfeasibleRateError
+from bandshape.trellis import TrellisParams, _count_only
+
 
 def band_bounds(col, n_total, e_max, height, width, a_max):
     """Active energy window [lo, hi] at a column of a band-restricted trellis.
@@ -67,6 +70,25 @@ def enumerate_sequences(n, alphabet, e_max, band=None):
 
 def count_sequences(n, alphabet, e_max, band=None):
     return len(enumerate_sequences(n, alphabet, e_max, band))
+
+
+def min_emax_scan(n, alphabet, k, band, scan_from=None):
+    """First grid e_max holding 2**k band sequences, counting every point.
+
+    The grid starts at the all-a_min energy, or at scan_from rounded up onto
+    the grid (e_max - n divisible by 8), and ends at the all-a_max energy;
+    InfeasibleRateError when no point reaches 2**k.
+    """
+    squares = alphabet.squares
+    lo, hi = n * squares[0], n * squares[-1]
+    if len(alphabet) ** n < 1 << k:
+        raise InfeasibleRateError(f"k={k} exceeds the cube")
+    if scan_from is not None:
+        lo = max(lo, scan_from + (n - scan_from) % 8)
+    for e in range(lo, hi + 1, 8):
+        if _count_only(TrellisParams(n, alphabet, e), band) >= 1 << k:
+            return e
+    raise InfeasibleRateError(f"band {band} never reaches k={k}")
 
 
 def amplitude_occurrences(sequences, alphabet):

@@ -16,6 +16,8 @@ from bandshape.trellis import (
     TrellisParams,
     _build,
     _count_only,
+    _slope_bound,
+    _union_counter,
     build_band_trellis,
     build_full_trellis,
     deserialize,
@@ -24,7 +26,13 @@ from bandshape.trellis import (
     serialize,
 )
 
-from oracles import band_bounds, count_sequences, enumerate_sequences, node_table
+from oracles import (
+    band_bounds,
+    count_sequences,
+    enumerate_sequences,
+    min_emax_scan,
+    node_table,
+)
 
 A135 = Alphabet((1, 3, 5))
 A13 = Alphabet((1, 3))
@@ -278,6 +286,100 @@ class TestMinEmax:
         # h=2, w=1 tops out at 13 sequences over the whole grid (oracle scan)
         with pytest.raises(InfeasibleRateError):
             min_emax_for_bits(7, A1357, 4, band=BandParams(2, 1))
+
+    def test_offgrid_scan_from_rounds_up(self):
+        # the grid for n=12 runs 76, 84, ...; 13 and 76 start the same scan
+        band = BandParams(3, 1)
+        assert min_emax_for_bits(12, A135, 10, band=band, scan_from=13) == 76
+        assert min_emax_for_bits(12, A135, 10, band=band, scan_from=69) == 76
+        assert min_emax_for_bits(12, A135, 10, band=band, scan_from=77) == 84
+
+    def test_n108_geometry_table(self):
+        # frozen from the point-by-point scan over {1,3,5,7} at k=162, started
+        # at the sphere minimum 860; None: the geometry never holds 2^162
+        want = {2: (None,) * 3, 3: (None,) * 3, 4: (None,) * 3, 5: (None,) * 3,
+                6: (None,) * 3, 7: (1276, 1284, 1300), 8: (1116,) * 3,
+                9: (1044,) * 3, 10: (1004, 1004, 996), 11: (972,) * 3,
+                12: (972, 972, 964), 13: (956,) * 3, 14: (948,) * 3,
+                15: (940,) * 3, 16: (940, 932, 932)}
+        got = {}
+        for h in want:
+            row = []
+            for w in range(3):
+                try:
+                    row.append(min_emax_for_bits(108, A1357, 162,
+                                                 band=BandParams(h, w), scan_from=860))
+                except InfeasibleRateError:
+                    row.append(None)
+            got[h] = tuple(row)
+        assert got == want
+
+
+@st.composite
+def search_cases(draw, max_n=10):
+    """(n, alphabet, k, band, scan_from) over small alphabets drawn from
+    {1,3,5,7,9}, any band, every k the cube allows, and scan_from any grid
+    point up to one past the all-a_max energy."""
+    n = draw(st.integers(1, max_n))
+    amps = tuple(sorted(draw(st.sets(st.sampled_from((1, 3, 5, 7, 9)), min_size=1))))
+    k = draw(st.integers(0, (len(amps) ** n).bit_length() - 1))
+    band = draw(st.builds(BandParams, st.integers(1, n + 1), st.integers(0, n)))
+    lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
+    scan_from = draw(st.none() | st.integers(0, (hi - lo) // 8 + 1).map(lambda i: lo + 8 * i))
+    return n, Alphabet(amps), k, band, scan_from
+
+
+def search_outcome(search, n, alphabet, k, band, scan_from):
+    try:
+        return search(n, alphabet, k, band=band, scan_from=scan_from)
+    except InfeasibleRateError:
+        return InfeasibleRateError
+
+
+class TestBandSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases())
+    def test_matches_point_by_point_scan(self, case):
+        assert search_outcome(min_emax_for_bits, *case) == search_outcome(min_emax_scan, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.integers(-20, 20))
+    def test_offgrid_scan_from_lands_on_grid(self, case, offset):
+        n, alphabet, k, band, scan_from = case
+        scan_from = (scan_from or n * alphabet.squares[0]) + offset
+        got = search_outcome(min_emax_for_bits, n, alphabet, k, band, scan_from)
+        assert got == search_outcome(min_emax_scan, n, alphabet, k, band, scan_from)
+        if got is not InfeasibleRateError:
+            assert (got - n) % 8 == 0 and got >= scan_from
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases(), st.data())
+    def test_union_count_bounds_every_point(self, case, data):
+        n, alphabet, _, band, _ = case
+        lo, hi = n * alphabet.squares[0], n * alphabet.squares[-1]
+        grid = range(lo, hi + 1, 8)
+        e_low = data.draw(st.sampled_from(grid))
+        e_high = data.draw(st.sampled_from(grid[grid.index(e_low):]))
+        count = _union_counter(n, alphabet, band)
+        points = [_count_only(TrellisParams(n, alphabet, e), band)
+                  for e in range(e_low, e_high + 1, 8)]
+        assert count(e_low, e_high) >= max(points)
+        assert count(e_low, e_low) == points[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases(), st.data())
+    def test_slope_bound_covers_the_class(self, case, data):
+        # a slope class: the grid e_max sharing (e_max - n) // (8n)
+        n, alphabet, _, band, _ = case
+        lo, hi = n * alphabet.squares[0], n * alphabet.squares[-1]
+        grid = range(lo, hi + 1, 8)
+        e_low = data.draw(st.sampled_from(grid))
+        same_class = [e for e in grid[grid.index(e_low):]
+                      if (e - n) // (8 * n) == (e_low - n) // (8 * n)]
+        e_high = data.draw(st.sampled_from(same_class))
+        points = [_count_only(TrellisParams(n, alphabet, e), band)
+                  for e in range(e_low, e_high + 1, 8)]
+        assert _slope_bound(n, alphabet, band, e_low, e_high) >= max(points)
 
 
 def table(t):
