@@ -384,7 +384,7 @@ def max_shaping_bits(trellis: Trellis) -> int:
     return trellis.num_sequences.bit_length() - 1
 
 
-# grid points under the band search's first union bound of each run within a class
+# grid points per run of the band search's union-window branch and bound
 _SEARCH_RUN = 16
 
 

@@ -325,7 +325,8 @@ def search_cases(draw, max_n=10):
     k = draw(st.integers(0, (len(amps) ** n).bit_length() - 1))
     band = draw(st.builds(BandParams, st.integers(1, n + 1), st.integers(0, n)))
     lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
-    scan_from = draw(st.none() | st.integers(0, (hi - lo) // 8 + 1).map(lambda i: lo + 8 * i))
+    grid_point = st.integers(0, (hi - lo) // 8 + 1).map(lambda i: lo + 8 * i)
+    scan_from = draw(st.none() | grid_point)
     return n, Alphabet(amps), k, band, scan_from
 
 
@@ -340,7 +341,8 @@ class TestBandSearch:
     @settings(max_examples=300, deadline=None)
     @given(search_cases())
     def test_matches_point_by_point_scan(self, case):
-        assert search_outcome(min_emax_for_bits, *case) == search_outcome(min_emax_scan, *case)
+        want = search_outcome(min_emax_scan, *case)
+        assert search_outcome(min_emax_for_bits, *case) == want
 
     @settings(max_examples=150, deadline=None)
     @given(search_cases(), st.integers(-20, 20))
