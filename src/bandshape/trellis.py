@@ -293,7 +293,9 @@ def _slope_bound(n_amplitudes: int, alphabet: Alphabet, band: BandParams,
         params = TrellisParams(n_amplitudes, alphabet, e_max)
         tops.append([0, *(hi for _, hi in _level_windows(params, band))])
     ramp = (e_low - n_amplitudes) // (8 * n_amplitudes) - (squares[0] - 1) // 8
-    height, tail = band.height, n_amplitudes - band.width
+    # no path sits further below its window top than the top's own level
+    height = min(band.height, (e_high - n_amplitudes * squares[0]) // 8 + 1)
+    tail = n_amplitudes - band.width
     counts = [1] + [0] * (height - 1)  # paths 0, 1, ... levels below the top
     for m in range(1, n_amplitudes + 1):
         if m < tail:

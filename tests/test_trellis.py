@@ -294,6 +294,13 @@ class TestMinEmax:
         assert min_emax_for_bits(12, A135, 10, band=band, scan_from=69) == 76
         assert min_emax_for_bits(12, A135, 10, band=band, scan_from=77) == 84
 
+    def test_band_taller_than_every_column(self):
+        # a window taller than any column's level range admits what the
+        # ramp and the full-top tail allow, and the search stays as cheap
+        band = BandParams(10**9, 1)
+        want = min_emax_scan(7, A1357, 3, band)
+        assert min_emax_for_bits(7, A1357, 3, band=band) == want == 23
+
     def test_n108_geometry_table(self):
         # frozen from the point-by-point scan over {1,3,5,7} at k=162, started
         # at the sphere minimum 860; None: the geometry never holds 2^162
