@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 
 from .codec import deshape, shape_stream, whole_blocks
 from .errors import BandshapeError, ParameterError
@@ -54,16 +54,24 @@ def _parse_band(text: str) -> BandParams:
 
 
 def _parse_powers(text: str) -> list[float]:
-    """start:step:stop inclusive, or a single value."""
+    """start:step:stop inclusive, or a single value; the sweep ends at the
+    last whole step from start that does not pass stop."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ParameterError(f"bad power sweep {text!r}, expected start:step:stop")
-    start, step, stop = (float(x) for x in parts)
+    try:
+        values = [float(x) for x in parts]
+    except ValueError as exc:
+        raise ParameterError(f"bad power sweep {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"power sweep {text!r} must be finite")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0:
         raise ParameterError("power sweep step must be positive")
-    count = int(round((stop - start) / step)) + 1
+    # the slack keeps float error in the quotient from dropping stop itself
+    count = math.floor((stop - start) / step + 1e-9) + 1
     if count < 1:
         raise ParameterError(f"empty power sweep {text!r}")
     return [start + i * step for i in range(count)]
@@ -138,16 +146,20 @@ def cmd_deshape(args) -> int:
     trellis = load_trellis(args.trellis)
     k = max_shaping_bits(trellis)
     indices: list[int] = []
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                seq = tuple(int(v) for v in line.split())
-                indices.append(deshape(trellis, seq))
-            except (ValueError, BandshapeError) as exc:
-                raise ParameterError(f"line {lineno}: {exc}") from exc
+    try:
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"not a UTF-8 text file: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            seq = tuple(int(v) for v in line.split())
+            indices.append(deshape(trellis, seq))
+        except (ValueError, BandshapeError) as exc:
+            raise ParameterError(f"line {lineno}: {exc}") from exc
     # format() cannot print zero digits, so a k=0 block needs the branch
     bits = "".join(format(i, f"0{k}b") for i in indices) if k else ""
     pad = -len(bits) % 8
@@ -216,7 +228,12 @@ def cmd_simulate(args) -> int:
     cfg = dict(_SIM_DEFAULTS)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:  # also a file that is not UTF-8
+                raise ParameterError(f"--config is not JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ParameterError("--config must hold a JSON object of settings")
         unknown = set(overrides) - set(cfg)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -237,22 +254,33 @@ def cmd_simulate(args) -> int:
             )
         trellis_by_scheme[scheme] = load_trellis(path)
     powers = _parse_powers(args.powers)
+
+    def setting(key):
+        # converted to the type of the key's default, as the flags are
+        try:
+            value = type(_SIM_DEFAULTS[key])(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"{key}={cfg[key]!r} is not a number") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key}={cfg[key]!r} must be finite")
+        return value
+
     link = LinkParams(
-        baud_rate_gbd=float(cfg["baud"]), rrc_rolloff=float(cfg["rolloff"]),
-        edfa_nf_db=float(cfg["nf"]), launch_power_dbm=powers[0],
-        sps=int(cfg["sps"]), step_km=float(cfg["step_km"]),
-        seed=int(cfg["seed"]), burst_symbols=int(cfg["burst"]),
-        filter_span_symbols=int(cfg["filter_span"]),
-        guard_symbols=int(cfg["guard"]),
+        baud_rate_gbd=setting("baud"), rrc_rolloff=setting("rolloff"),
+        edfa_nf_db=setting("nf"), launch_power_dbm=powers[0],
+        sps=setting("sps"), step_km=setting("step_km"),
+        seed=setting("seed"), burst_symbols=setting("burst"),
+        filter_span_symbols=setting("filter_span"),
+        guard_symbols=setting("guard"),
     )
     fiber = FiberParams(
-        alpha_db_per_km=float(cfg["alpha"]),
-        dispersion_ps_nm_km=float(cfg["dispersion"]),
-        gamma_per_w_km=float(cfg["gamma"]), length_km=float(cfg["length"]),
-        ref_wavelength_nm=float(cfg["wavelength"]),
+        alpha_db_per_km=setting("alpha"),
+        dispersion_ps_nm_km=setting("dispersion"),
+        gamma_per_w_km=setting("gamma"), length_km=setting("length"),
+        ref_wavelength_nm=setting("wavelength"),
     )
     _log(f"sweep: schemes={schemes} powers={powers} seeds={cfg['seeds']}")
-    rows = run_sweep(trellis_by_scheme, powers, int(cfg["seeds"]), link, fiber)
+    rows = run_sweep(trellis_by_scheme, powers, setting("seeds"), link, fiber)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w",
                                                           encoding="utf-8")
     try:

@@ -237,36 +237,6 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
 
 
-def _union_counter(n_amplitudes: int, alphabet: Alphabet, band: BandParams):
-    """count(e_low, e_high) for grid e_max values e_low <= e_high.
-
-    Both edges of every column window from _level_windows are monotone in
-    e_max: the ramp cap m*e_max//n and the full-top ramp (both snapped onto
-    the column's grid), the floor 8*(height-1) below them, and the tail bound
-    top. So the windows of every grid e_max in [e_low, e_high] lie inside
-    (lo at e_low, hi at e_high), column by column, and count returns the
-    paths through those union windows: at least the sequence count of each
-    e_max in the range, and exactly that count when e_low == e_high. Each
-    e_max's windows are computed once per counter.
-    """
-    width, shifts = _packing(n_amplitudes, alphabet)
-    windows: dict[int, list[tuple[int, int]]] = {}
-
-    def column_windows(e_max):
-        if e_max not in windows:
-            params = TrellisParams(n_amplitudes, alphabet, e_max)
-            windows[e_max] = list(_level_windows(params, band))
-        return windows[e_max]
-
-    def count(e_low: int, e_high: int) -> int:
-        union = [(lo, hi) for (lo, _), (_, hi)
-                 in zip(column_windows(e_low), column_windows(e_high))]
-        cols = _forward(union, width, shifts)
-        return cols[-1][1] % ((1 << width) - 1) if len(cols) > n_amplitudes else 0
-
-    return count
-
-
 def _slope_bound(n_amplitudes: int, alphabet: Alphabet, band: BandParams,
                  e_low: int, e_high: int) -> int:
     """Upper bound on the band count of every grid e_max in [e_low, e_high],
@@ -386,10 +356,6 @@ def max_shaping_bits(trellis: Trellis) -> int:
     return trellis.num_sequences.bit_length() - 1
 
 
-# grid points per run of the band search's union-window branch and bound
-_SEARCH_RUN = 16
-
-
 def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
                       band: BandParams | None = None,
                       scan_from: int | None = None) -> int:
@@ -399,26 +365,20 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     length-n sequences (the n-th power of _packing's step polynomial) summed
     up to e_max, so that case sums one distribution level by level up to
     2**k. A band trellis shifts its whole window as e_max grows and its
-    count is not monotone, so the band case looks for the first grid point
-    that reaches 2**k, from the bottom up, with two exact upper bounds on
-    the counts of whole ranges of e_max. The grid splits into slope classes
-    of n points, the e_max with one (e_max - n) // (8n); _slope_bound covers
-    a class in one pass, and a class whose bound stays below 2**k is
-    skipped. Within any other class, every window edge is monotone in e_max,
-    so one forward pass over the union windows of a grid range bounds the
-    count of every e_max in it (_union_counter). The class is walked in runs
-    of _SEARCH_RUN points: a run whose bound stays below 2**k is skipped
-    whole, any other run is halved, left half first, down to single points,
-    which are counted exactly. That returns the first hit of a
-    point-by-point scan, and a geometry that never reaches 2**k is proved so
-    without counting every point. scan_from, when given, must be a known
-    lower bound on the answer (the full-trellis minimum always is, since a
-    band never holds more sequences than its sphere); it is rounded up onto
-    the grid.
+    count is not monotone, so the band case returns the first grid point
+    that reaches 2**k, from the bottom up. The grid splits into slope
+    classes of n points, the e_max with one (e_max - n) // (8n);
+    _slope_bound bounds every count of a class in one pass, and a class
+    whose bound stays below 2**k is skipped. The points of every other
+    class are counted exactly, in order. That returns the first hit of a
+    point-by-point scan, and proves a low band infeasible without counting
+    its points. scan_from, when given, must be a known lower bound on the
+    answer (the full-trellis minimum always is, since a band never holds
+    more sequences than its sphere); it is rounded up onto the grid.
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
-    squares = Alphabet(alphabet.amplitudes).squares
+    squares = alphabet.squares
     lo = n_amplitudes * squares[0]
     hi = n_amplitudes * squares[-1]
     target = 1 << k
@@ -441,27 +401,14 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     if scan_from is not None:
         lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
 
-    def first_hit(count, e_low, e_high):
-        if count(e_low, e_high) < target:
-            return None
-        if e_low == e_high:
-            return e_low
-        mid = e_low + 8 * ((e_high - e_low) // 16)
-        hit = first_hit(count, e_low, mid)
-        return hit if hit is not None else first_hit(count, mid + 8, e_high)
-
     span = 8 * n_amplitudes  # the energy range of one slope class, n grid points
     for first in range(lo - (lo - n_amplitudes) % span, hi + 1, span):
         e_low, e_high = max(lo, first), min(hi, first + span - 8)
         if _slope_bound(n_amplitudes, alphabet, band, e_low, e_high) < target:
             continue
-        for start in range(e_low, e_high + 1, 8 * _SEARCH_RUN):
-            # a fresh counter per run: no bound reaches outside its run, and
-            # dropping the run's cached windows keeps the search's memory flat
-            count = _union_counter(n_amplitudes, alphabet, band)
-            hit = first_hit(count, start, min(e_high, start + 8 * (_SEARCH_RUN - 1)))
-            if hit is not None:
-                return hit
+        for e_max in range(e_low, e_high + 1, 8):
+            if _count_only(TrellisParams(n_amplitudes, alphabet, e_max), band) >= target:
+                return e_max
     raise InfeasibleRateError(
         f"band h={band.height}, w={band.width} never reaches k={k}"
     )

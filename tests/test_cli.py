@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandshape.cli import main
+from bandshape.cli import _parse_powers, main
+from bandshape.errors import ParameterError
 from bandshape.trellis import (
     Alphabet,
     BandParams,
@@ -171,6 +172,16 @@ class TestShapeDeshape:
         err = capsys.readouterr().err
         assert "note: 9 bits zero-padded" in err
         assert "deshaped 3 sequences" in err
+
+    def test_deshape_non_utf8_file(self, tmp_path, capsys):
+        trellis = build_toy(tmp_path)
+        amps = tmp_path / "binary.txt"
+        amps.write_bytes(b"\xff\xfe\n")
+        capsys.readouterr()
+        rc = main(["deshape", "--trellis", str(trellis), "--in", str(amps),
+                   "--out", str(tmp_path / "bits.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def build_single(tmp_path):
@@ -381,6 +392,66 @@ class TestSimulate:
         lines = [l for l in out.read_text().splitlines()
                  if l and not l.startswith("#")]
         assert len(lines) == 4  # header + powers -2,-1,0
+
+    @pytest.mark.parametrize("text, want", [
+        ("0:3:8", [0.0, 3.0, 6.0]),  # 9 would overshoot the stop
+        ("6:4:10", [6.0, 10.0]),
+        ("-2:1:8", [float(p) for p in range(-2, 9)]),
+        ("0:2:10", [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
+        ("0:0.1:0.3", [0.0, 0.1, 0.2, 0.1 * 3]),  # 0.3/0.1 < 3 in floats
+        ("4", [4.0]),
+    ])
+    def test_power_sweep_stops_at_stop(self, text, want):
+        assert _parse_powers(text) == want
+
+    @pytest.mark.parametrize("text", ["5:1:4.6", "3:1:2"])
+    def test_power_sweep_below_start_is_empty(self, text):
+        with pytest.raises(ParameterError, match="empty power sweep"):
+            _parse_powers(text)
+
+    def _simulate_error(self, tmp_path, capsys, *extra):
+        trellis = self._small_trellis(tmp_path)
+        capsys.readouterr()
+        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                   "--out", str(tmp_path / "x.csv"), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        return err
+
+    @pytest.mark.parametrize("text", ["abc", "0:x:4", "0:nan:4"])
+    def test_bad_power_field(self, tmp_path, capsys, text):
+        assert text in self._simulate_error(tmp_path, capsys, f"--powers={text}")
+
+    def test_config_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sps": 8')
+        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
+        assert "not JSON" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"sps": "\xff"}')
+        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
+        assert "not JSON" in err
+
+    @pytest.mark.parametrize("body", ["5", '[["sps", 8]]'])
+    def test_config_not_an_object(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
+        assert "JSON object" in err
+
+    def test_config_value_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sps": "abc"}))
+        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
+        assert "sps='abc' is not a number" in err
+
+    @pytest.mark.parametrize("extra", [["--length", "inf"], ["--gamma", "nan"]])
+    def test_nonfinite_setting(self, tmp_path, capsys, extra):
+        err = self._simulate_error(tmp_path, capsys, "--powers=2", *extra)
+        assert "must be finite" in err
 
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",
