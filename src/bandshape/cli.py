@@ -224,6 +224,21 @@ _SIM_DEFAULTS = {
 }
 
 
+def _sim_setting(key: str, value):
+    """A simulate setting converted to the type of its default, as the flags
+    are; a boolean, or a fraction where a whole number is due, is an error
+    rather than a silent truncation."""
+    kind = type(_SIM_DEFAULTS[key])
+    if isinstance(value, bool):
+        raise ParameterError(f"{key}={value!r} is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ParameterError(f"{key}={value!r} must be a whole number")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{key}={value!r} is not a number") from exc
+
+
 def cmd_simulate(args) -> int:
     cfg = dict(_SIM_DEFAULTS)
     if args.config:
@@ -255,37 +270,28 @@ def cmd_simulate(args) -> int:
         trellis_by_scheme[scheme] = load_trellis(path)
     powers = _parse_powers(args.powers)
 
-    def setting(key):
-        # converted to the type of the key's default, as the flags are
-        try:
-            value = type(_SIM_DEFAULTS[key])(cfg[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"{key}={cfg[key]!r} is not a number") from exc
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{key}={cfg[key]!r} must be finite")
-        return value
-
+    settings = {key: _sim_setting(key, value) for key, value in cfg.items()}
     link = LinkParams(
-        baud_rate_gbd=setting("baud"), rrc_rolloff=setting("rolloff"),
-        edfa_nf_db=setting("nf"), launch_power_dbm=powers[0],
-        sps=setting("sps"), step_km=setting("step_km"),
-        seed=setting("seed"), burst_symbols=setting("burst"),
-        filter_span_symbols=setting("filter_span"),
-        guard_symbols=setting("guard"),
+        baud_rate_gbd=settings["baud"], rrc_rolloff=settings["rolloff"],
+        edfa_nf_db=settings["nf"], launch_power_dbm=powers[0],
+        sps=settings["sps"], step_km=settings["step_km"],
+        seed=settings["seed"], burst_symbols=settings["burst"],
+        filter_span_symbols=settings["filter_span"],
+        guard_symbols=settings["guard"],
     )
     fiber = FiberParams(
-        alpha_db_per_km=setting("alpha"),
-        dispersion_ps_nm_km=setting("dispersion"),
-        gamma_per_w_km=setting("gamma"), length_km=setting("length"),
-        ref_wavelength_nm=setting("wavelength"),
+        alpha_db_per_km=settings["alpha"],
+        dispersion_ps_nm_km=settings["dispersion"],
+        gamma_per_w_km=settings["gamma"], length_km=settings["length"],
+        ref_wavelength_nm=settings["wavelength"],
     )
-    _log(f"sweep: schemes={schemes} powers={powers} seeds={cfg['seeds']}")
-    rows = run_sweep(trellis_by_scheme, powers, setting("seeds"), link, fiber)
+    _log(f"sweep: schemes={schemes} powers={powers} seeds={settings['seeds']}")
+    rows = run_sweep(trellis_by_scheme, powers, settings["seeds"], link, fiber)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w",
                                                           encoding="utf-8")
     try:
-        for key in sorted(cfg):
-            out.write(f"# {key}={cfg[key]}\n")
+        for key in sorted(settings):
+            out.write(f"# {key}={settings[key]}\n")
         out.write(f"# schemes={','.join(schemes)} "
                   f"powers={args.powers}\n")
         out.write("scheme,launch_power_dbm,snr_db,seed,step_km,sps,burst_symbols\n")

@@ -16,7 +16,7 @@ receiver-side compensator applies the conjugate filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.fft import fft, ifft, fftfreq, next_fast_len
@@ -31,6 +31,14 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
 
 
+def _require_finite(params) -> None:
+    """Reject NaN and +-inf in any float field of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{f.name}={value!r} must be finite")
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Span parameters. Zero values are allowed where a test or receiver
@@ -43,6 +51,7 @@ class FiberParams:
     ref_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
+        _require_finite(self)
         if (self.alpha_db_per_km < 0 or self.dispersion_ps_nm_km < 0
                 or self.gamma_per_w_km < 0 or self.length_km < 0):
             raise ParameterError("fiber parameters must be nonnegative")
@@ -74,6 +83,7 @@ class LinkParams:
     guard_symbols: int
 
     def __post_init__(self):
+        _require_finite(self)
         if self.baud_rate_gbd <= 0:
             raise ParameterError("baud rate must be positive")
         if not 0 < self.rrc_rolloff <= 1:
@@ -329,8 +339,8 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     numbers); the shaped payload is redrawn per seed from the same index
     stream through each scheme's codebook.
     """
-    from dataclasses import replace
-
+    if seeds < 1:
+        raise ParameterError(f"seed sweep needs at least one seed, got {seeds}")
     rows = []
     for scheme, trellis in trellis_by_scheme.items():
         for si in range(seeds):

@@ -453,6 +453,44 @@ class TestSimulate:
         err = self._simulate_error(tmp_path, capsys, "--powers=2", *extra)
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("body, message", [
+        ({"sps": 4.9}, "sps=4.9 must be a whole number"),
+        ({"burst": 2000.7}, "burst=2000.7 must be a whole number"),
+        ({"seed": True}, "seed=True is not a number"),
+        ({"gamma": False}, "gamma=False is not a number"),
+    ])
+    def test_config_value_not_truncated(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        err = self._simulate_error(tmp_path, capsys, "--powers=2", "--config", str(cfg))
+        assert message in err
+
+    def test_config_header_echoes_converted_values(self, tmp_path):
+        trellis = self._small_trellis(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0, "burst": 2048.0, "guard": 128,
+                                   "sps": 4.0, "step_km": 41}))
+        out = tmp_path / "c.csv"
+        assert main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                     "--powers", "2", "--config", str(cfg),
+                     "--length", "205", "--out", str(out)]) == 0
+        header = [l for l in out.read_text().splitlines() if l.startswith("# ")]
+        for line in ("# gamma=0.0", "# burst=2048", "# sps=4", "# step_km=41.0"):
+            assert line in header
+        rows = [l for l in out.read_text().splitlines() if l.startswith("ess,")]
+        assert rows and all(r.endswith(",41.0,4,2048") for r in rows)
+
+    @pytest.mark.parametrize("flag", [["--seeds", "0"], ["--seeds=-2"]])
+    def test_empty_seed_sweep(self, tmp_path, capsys, flag):
+        trellis = self._small_trellis(tmp_path)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                   "--powers=2", "--out", str(out), *flag])
+        assert rc == 2
+        # the sweep's progress line comes first
+        assert "\nerror: seed sweep needs at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",
                    "--out", str(tmp_path / "x.csv")])

@@ -5,7 +5,9 @@ calls that the program resolves through those attributes at call time. A
 module that bound one of the names at import time instead would silently
 drop that layer from every trace. These tests load the tracer by path, the
 way the benchmark does, and check both that every wrapped attribute exists
-and that one traced link records each stage of the fiber chain.
+and that one traced link records each stage of the fiber chain. The
+benchmark's machine facts and kernel probe read the program outside the
+tracer, so they are loaded and run the same way.
 """
 
 import importlib.util
@@ -19,15 +21,25 @@ from scipy.fft import next_fast_len
 from bandshape import fibersim
 from bandshape.fibersim import FiberParams, LinkParams
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def facts():
+    return _load("facts")
 
 
 def test_every_wrap_point_resolves(tracer):
@@ -71,3 +83,25 @@ def test_traced_link_records_every_stage(tracer):
     assert calls.get("fibersim.fft") == calls.get("fibersim.ifft") == steps + 2
     padded = (link.burst_symbols - 1) * link.sps + link.filter_span_symbols * link.sps + 1
     assert tr.counts["fibersim.fft_len"] == next_fast_len(padded)
+
+
+def test_machine_facts_keys(facts):
+    got = facts.machine_facts(4096)
+    assert set(got) == {
+        "nproc", "affinity_cpus", "python", "numpy", "scipy",
+        "numba_importable", "using_numba", "llc_bytes", "link_sweep_fft_len",
+        "thread_env",
+    }
+    assert got["using_numba"] is False
+    assert got["link_sweep_fft_len"] == 4096
+
+
+def test_kernel_probe_keys(facts):
+    got = facts.kernel_probe(4096, calls=2)
+    assert set(got) == {
+        "probe.fft_len", "probe.kerr_us", "probe.fft_pair_us", "probe.kerr_flop",
+        "probe.kerr_bytes_computed", "probe.fft_pair_flop",
+        "probe.fft_pair_bytes_computed",
+    }
+    assert got["probe.fft_len"] == 4096
+    assert got["probe.kerr_us"] > 0 and got["probe.fft_pair_us"] > 0
