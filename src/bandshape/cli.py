@@ -18,8 +18,6 @@ from .errors import BandshapeError, ParameterError
 from .fibersim import FiberParams, LinkParams, run_sweep
 from .metrics import compare_trellises, exact_metrics, sampled_metrics
 from .trellis import (
-    Alphabet,
-    BandParams,
     Trellis,
     TrellisParams,
     build_band_trellis,
@@ -27,6 +25,8 @@ from .trellis import (
     load_trellis,
     max_shaping_bits,
     min_emax_for_bits,
+    parse_alphabet,
+    parse_band,
     save_trellis,
 )
 
@@ -36,21 +36,6 @@ DEFAULT_SEED = 12345
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _parse_alphabet(text: str) -> Alphabet:
-    try:
-        return Alphabet(tuple(int(a) for a in text.split(",")))
-    except ValueError as exc:
-        raise ParameterError(f"bad alphabet {text!r}") from exc
-
-
-def _parse_band(text: str) -> BandParams:
-    try:
-        h, w = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad band spec {text!r}, expected H,W") from exc
-    return BandParams(h, w)
 
 
 def _parse_powers(text: str) -> list[float]:
@@ -104,8 +89,8 @@ def cmd_trellis(args) -> int:
         for line in _summary_lines(trellis) + _metric_lines(exact_metrics(trellis), ""):
             print(line)
         return 0
-    alphabet = _parse_alphabet(args.alphabet)
-    band = _parse_band(args.band) if args.band else None
+    alphabet = parse_alphabet(args.alphabet)
+    band = parse_band(args.band) if args.band else None
     if args.bits is not None:
         e_max = min_emax_for_bits(args.n, alphabet, args.bits)
         if band:
@@ -177,8 +162,7 @@ def cmd_stats(args) -> int:
     trellis = load_trellis(args.trellis)
     k = max_shaping_bits(trellis)
     exact = exact_metrics(trellis)
-    sampled = sampled_metrics(trellis, k, args.samples, args.seed,
-                              exhaustive=args.exhaustive)
+    sampled = sampled_metrics(trellis, args.samples, args.seed)
     print(f"sequences={trellis.num_sequences}")
     print(f"bits={k}")
     for line in _metric_lines(exact, "exact_") + _metric_lines(sampled, "sampled_"):
@@ -340,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="exact and sampled shaping metrics")
     stats.add_argument("--trellis", required=True)
-    stats.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    stats.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                       help="Monte-Carlo sample count; at 2^k or more, every "
+                            "used index is swept instead")
     stats.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    stats.add_argument("--exhaustive", action="store_true",
-                       help="sweep all 2^k used indices instead of sampling")
     stats.add_argument("--csv", help="also write a CSV report")
 
     compare = sub.add_parser("compare", help="side-by-side metrics of two trellises")
@@ -382,10 +366,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BandshapeError as exc:
-        _log(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (BandshapeError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

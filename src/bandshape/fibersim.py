@@ -29,6 +29,7 @@ from .trellis import Trellis, max_shaping_bits
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
+MIN_SNR_SYMBOLS = 1000  # the fewest symbols effective_snr takes as a stable estimate
 
 
 def _require_finite(params) -> None:
@@ -94,10 +95,15 @@ class LinkParams:
             raise ParameterError("step_km must be positive")
         if self.edfa_nf_db < 0:
             raise ParameterError("noise figure must be nonnegative")
-        if self.burst_symbols < 1:
-            raise ParameterError("burst must hold at least one symbol")
-        if self.guard_symbols < 0 or 2 * self.guard_symbols >= self.burst_symbols:
-            raise ParameterError("guard ring must leave measurable symbols")
+        if self.guard_symbols < 0:
+            raise ParameterError("guard must be nonnegative")
+        # checked here, so a short window fails before a span is propagated
+        measured = self.burst_symbols - 2 * self.guard_symbols
+        if measured < MIN_SNR_SYMBOLS:
+            raise ParameterError(
+                f"burst {self.burst_symbols} with guard {self.guard_symbols} "
+                f"leaves {measured} measured symbols, fewer than {MIN_SNR_SYMBOLS}"
+            )
 
     @property
     def symbol_rate_hz(self) -> float:
@@ -140,18 +146,17 @@ def modulate(symbols, sps: int, taps: np.ndarray) -> np.ndarray:
     return upfirdn(taps, np.asarray(symbols, dtype=complex), up=sps)
 
 
-def demodulate(samples, taps: np.ndarray, sps: int, delay: int) -> np.ndarray:
-    """Matched-filter, skip the accumulated filter delay, downsample.
+def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
+    """Matched-filter, skip the filter delay, downsample.
 
-    Returns every complete symbol from the delay point on; callers slice to
-    the count they sent.
+    The delay, taps.size - 1 samples, is that of pulse shaping with taps
+    plus this matched filter. Returns every complete symbol from there on;
+    callers slice to the count they sent.
     """
-    y = fftconvolve(samples, taps, mode="full")
-    if delay >= y.size:
-        raise ParameterError(
-            f"delay {delay} leaves no samples (filtered length {y.size})"
-        )
-    return y[delay::sps]
+    samples = np.asarray(samples)
+    if samples.size == 0:
+        raise ParameterError("waveform is empty")
+    return fftconvolve(samples, taps, mode="full")[taps.size - 1::sps]
 
 
 def _scale_to_power(samples: np.ndarray, power_dbm: float) -> np.ndarray:
@@ -252,8 +257,10 @@ def effective_snr(tx_symbols, rx_symbols) -> float:
     rx = np.asarray(rx_symbols, dtype=complex)
     if tx.shape != rx.shape:
         raise ParameterError("symbol streams differ in length")
-    if tx.size < 1000:
-        raise ParameterError("need at least 1000 symbols for a stable estimate")
+    if tx.size < MIN_SNR_SYMBOLS:
+        raise ParameterError(
+            f"need at least {MIN_SNR_SYMBOLS} symbols for a stable estimate"
+        )
     denom = np.vdot(tx, tx).real
     if denom == 0:
         raise ParameterError("transmit stream has zero power")
@@ -307,7 +314,7 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     gain_db = fiber.alpha_db_per_km * fiber.length_km
     u = edfa(u, rate, gain_db, link.edfa_nf_db, ss_ase, fiber.ref_wavelength_nm)
     u = cd_compensate(u, rate, fiber)
-    rx = demodulate(u, taps, link.sps, delay=taps.size - 1)[:n]
+    rx = demodulate(u, taps, link.sps)[:n]
     g = link.guard_symbols
     return effective_snr(tx[g:n - g], rx[g:n - g])
 

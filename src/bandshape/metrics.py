@@ -43,7 +43,8 @@ class ShapingMetrics:
 
 @dataclass(frozen=True)
 class SampledMetrics(ShapingMetrics):
-    """Monte-Carlo estimate over the used 2**k index subset."""
+    """Statistics of the used 2**k index subset: a sweep of every index
+    (exhaustive, exact) or a Monte-Carlo estimate."""
 
     num_samples: int
     seed: int
@@ -92,20 +93,21 @@ def exact_metrics(trellis: Trellis) -> ShapingMetrics:
     return ShapingMetrics(amps, p, e2, e4, var_e, kurtosis)
 
 
-def sampled_metrics(trellis: Trellis, k: int, num_samples: int, seed: int,
-                    exhaustive: bool = False) -> SampledMetrics:
-    """Statistics of the used subset (indices below 2**k).
+def sampled_metrics(trellis: Trellis, num_samples: int,
+                    seed: int) -> SampledMetrics:
+    """Statistics of the used subset, the 2**k indices the codec sends
+    (k = max_shaping_bits).
 
-    Monte Carlo with a seeded uniform index stream, or, with
-    exhaustive=True, a sweep of all 2**k indices (num_samples is ignored).
+    When 2**k <= num_samples, a sweep of every used index: exact, and no
+    more encodes than asked for. Otherwise Monte Carlo over num_samples
+    indices from a seeded uniform stream.
     """
-    k_max = max_shaping_bits(trellis)
-    if k > k_max:
-        raise ParameterError(f"k={k} exceeds the trellis capacity {k_max}")
-    if not exhaustive and num_samples < 1:
+    if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
+    k = max_shaping_bits(trellis)
     amps = trellis.params.alphabet.amplitudes
     n_len = trellis.params.n_amplitudes
+    exhaustive = (1 << k) <= num_samples
     if exhaustive:
         indices = range(1 << k)
     else:
@@ -216,14 +218,15 @@ class BandOperatingPoint:
 # the tolerance that scales each axis of the score, all in dB
 TARGET_E2_DB, TARGET_VAR_DB = 0.44, -0.67
 TOL_E2_DB, TOL_VAR_DB = 0.15, 0.20
+# the band geometries the search tries, in this order
+SEARCH_HEIGHTS, SEARCH_WIDTHS = range(2, 17), range(0, 3)
 
 
-def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet, k: int,
-                              heights=range(2, 17),
-                              widths=range(0, 3)) -> BandOperatingPoint:
-    """Search band geometries holding 2**k sequences for the one whose
-    energy/variance trade-off against the full-sphere codebook lands closest
-    to the dB targets above, each axis scaled by its tolerance.
+def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
+                              k: int) -> BandOperatingPoint:
+    """Search the grid's band geometries holding 2**k sequences for the one
+    whose energy/variance trade-off against the full-sphere codebook lands
+    closest to the dB targets above, each axis scaled by its tolerance.
     Candidates with kurtosis at or above the full-sphere value are rejected
     outright.
     """
@@ -232,8 +235,8 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet, k: int,
         build_full_trellis(TrellisParams(n_amplitudes, alphabet, ess_e_max))
     )
     best = None
-    for h in heights:
-        for w in widths:
+    for h in SEARCH_HEIGHTS:
+        for w in SEARCH_WIDTHS:
             band = BandParams(h, w)
             try:
                 e_max = min_emax_for_bits(

@@ -13,7 +13,7 @@ admitted sequences accumulate energy near-linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 
 from .errors import (
     EmptyCodebookError,
@@ -169,7 +169,10 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
     snapped down onto the column's mod-8 grid. Its lower boundary trails by
     8*(height-1), floored at the all-ones energy. Every column is also cut
     at the tail bound top, the last level that leaves room for an all-a_min
-    completion within e_max. hi < lo marks a column that admits nothing.
+    completion within e_max; a full column also at its reach
+    m*(a_max**2 - a_min**2)/8, the highest level any path attains, so the
+    cost of a full trellis stops growing once e_max covers the whole cube.
+    hi < lo marks a column that admits nothing.
     Lazy, so a count that stops at an empty column computes no later window.
     """
     n_len, e_max = params.n_amplitudes, params.e_max
@@ -178,7 +181,8 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
     min_sq, max_sq = params.alphabet.squares[0], params.alphabet.squares[-1]
     top = (e_max - n_len * min_sq) // 8
     if band is None:
-        yield from repeat((0, top), n_len)
+        reach = (max_sq - min_sq) // 8
+        yield from ((0, min(m * reach, top)) for m in range(1, n_len + 1))
         return
     # inline conditionals instead of min/max: the band search calls this
     # thousands of times; e_max >= n also keeps the ramp cap m*e_max//n >= m
@@ -434,6 +438,23 @@ def serialize(trellis: Trellis) -> str:
     return "\n".join(_lines(trellis)) + "\n"
 
 
+def parse_alphabet(text: str) -> Alphabet:
+    """An alphabet from its comma-separated amplitudes, e.g. "1,3,5"."""
+    try:
+        return Alphabet(tuple(int(a) for a in text.split(",")))
+    except ValueError as exc:
+        raise ParameterError(f"bad alphabet {text!r}") from exc
+
+
+def parse_band(text: str) -> BandParams:
+    """A band geometry from its "HEIGHT,WIDTH" text."""
+    try:
+        h, w = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"bad band spec {text!r}, expected H,W") from exc
+    return BandParams(h, w)
+
+
 def _parse_params_line(line: str):
     fields = {}
     for token in line.split():
@@ -443,17 +464,16 @@ def _parse_params_line(line: str):
         fields[key] = value
     try:
         n = int(fields["N"])
-        alphabet = Alphabet(tuple(int(a) for a in fields["ALPHABET"].split(",")))
+        alphabet = parse_alphabet(fields["ALPHABET"])
         e_max = int(fields["EMAX"])
         band_txt = fields["BAND"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # ParameterError is a ValueError
         raise TrellisFormatError(f"bad parameter line: {line!r}") from exc
     band = None
     if band_txt != "none":
         try:
-            h, w = (int(x) for x in band_txt.split(","))
-            band = BandParams(h, w)
-        except (ValueError, ParameterError) as exc:
+            band = parse_band(band_txt)
+        except ParameterError as exc:
             raise TrellisFormatError(f"bad band spec {band_txt!r}") from exc
     try:
         params = TrellisParams(n, alphabet, e_max)

@@ -263,6 +263,7 @@ def test_criterion_5_simulator_physics():
 # Criterion 6: directional NLI reproduction, < 30 min
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_directional_nli(operating_point):
     op, _ = operating_point
     t0 = time.perf_counter()

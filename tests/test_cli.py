@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandshape import _kernels
 from bandshape.cli import _parse_powers, main
 from bandshape.errors import ParameterError
 from bandshape.trellis import (
@@ -319,11 +320,20 @@ class TestStats:
         assert all(r.endswith(",") for r in rows if r.startswith("p,"))
 
     def test_exhaustive(self, tmp_path, capsys):
+        # k = 3: 200 samples cover all 8 used indices, so every one is swept
         trellis = build_toy(tmp_path)
         capsys.readouterr()
-        assert main(["stats", "--trellis", str(trellis), "--exhaustive"]) == 0
+        assert main(["stats", "--trellis", str(trellis), "--samples", "200"]) == 0
         out = kv(capsys.readouterr().out)
         assert out["sampled_num_samples"] == "8"
+        assert out["sampled_exhaustive"] == "True"
+
+    def test_exhaustive_flag_gone(self, tmp_path, capsys):
+        trellis = build_toy(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", "--trellis", str(trellis), "--exhaustive"])
+        assert exit_info.value.code == 2
+        assert "--exhaustive" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -490,6 +500,20 @@ class TestSimulate:
         # the sweep's progress line comes first
         assert "\nerror: seed sweep needs at least one seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_short_window_fails_before_propagation(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 1200 - 2*150 = 900 measured symbols: too few for an SNR estimate
+        def no_step(u, coeff):
+            raise AssertionError("no split step may run")
+
+        monkeypatch.setattr(_kernels, "kerr_phase", no_step)
+        trellis = self._small_trellis(tmp_path)
+        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                   "--powers=2", "--burst", "1200", "--guard", "150",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "fewer than 1000" in capsys.readouterr().err
 
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",

@@ -98,34 +98,46 @@ class TestExactMetrics:
 
 class TestSampledMetrics:
     def test_exhaustive_equals_enumeration(self, toy):
-        m = sampled_metrics(toy, k=3, num_samples=8, seed=7, exhaustive=True)
+        m = sampled_metrics(toy, num_samples=8, seed=7)
         used = [encode_index(toy, i) for i in range(8)]
         p_want, e2_want, e4_want = exact_moments(used, (1, 3, 5))
         for a, p in zip((1, 3, 5), m.p_amp):
             assert p == pytest.approx(p_want[a], abs=1e-12)
         assert m.e2 == pytest.approx(e2_want, rel=1e-12)
         assert m.num_samples == 8
+        assert m.exhaustive
 
-    def test_same_seed_identical(self, toy):
-        a = sampled_metrics(toy, k=3, num_samples=500, seed=42)
-        b = sampled_metrics(toy, k=3, num_samples=500, seed=42)
+    def test_sweep_threshold(self, toy):
+        # k = 3: every used index is swept once the samples reach 2**3
+        below = sampled_metrics(toy, num_samples=7, seed=0)
+        assert (below.num_samples, below.exhaustive) == (7, False)
+        for asked in (8, 500):
+            m = sampled_metrics(toy, num_samples=asked, seed=0)
+            assert (m.num_samples, m.exhaustive) == (8, True)
+        with pytest.raises(ParameterError):
+            sampled_metrics(toy, num_samples=0, seed=0)
+
+    def test_same_seed_identical(self):
+        t = build_full_trellis(TrellisParams(6, A1357, 102))  # k = 10
+        a = sampled_metrics(t, num_samples=500, seed=42)
+        b = sampled_metrics(t, num_samples=500, seed=42)
+        assert not a.exhaustive
         assert a == b
 
-    def test_different_seed_differs(self, toy):
-        a = sampled_metrics(toy, k=3, num_samples=500, seed=1)
-        b = sampled_metrics(toy, k=3, num_samples=500, seed=2)
-        assert a != b
+    def test_different_seed_differs(self):
+        t = build_full_trellis(TrellisParams(6, A1357, 102))  # k = 10
+        a = sampled_metrics(t, num_samples=500, seed=1)
+        b = sampled_metrics(t, num_samples=500, seed=2)
+        assert not a.exhaustive
+        assert (a.p_amp, a.e2) != (b.p_amp, b.e2)
 
     def test_consistent_with_exhaustive(self):
-        t = build_full_trellis(TrellisParams(6, A1357, 102))
+        t = build_full_trellis(TrellisParams(8, A1357, 120))  # k = 13
         k = max_shaping_bits(t)
-        exact = sampled_metrics(t, k=k, num_samples=0, seed=0, exhaustive=True)
-        est = sampled_metrics(t, k=k, num_samples=4000, seed=99)
+        exact = sampled_metrics(t, num_samples=1 << k, seed=0)
+        est = sampled_metrics(t, num_samples=4000, seed=99)
+        assert exact.exhaustive and not est.exhaustive
         assert abs(est.e2 - exact.e2) < 3 * est.se_e2
-
-    def test_k_capped(self, toy):
-        with pytest.raises(ParameterError):
-            sampled_metrics(toy, k=4, num_samples=10, seed=0)
 
 
 class TestSequenceEnergyStats:
@@ -198,10 +210,7 @@ class TestCompareTrellises:
 class TestOperatingPointSearch:
     def test_small_search(self):
         # rate 1.5 bit/amplitude at n=16; loose targets, structure checks only
-        op = find_band_operating_point(
-            16, A1357, 24,
-            heights=range(2, 10), widths=range(0, 3),
-        )
+        op = find_band_operating_point(16, A1357, 24)
         t = build_band_trellis(
             TrellisParams(16, A1357, op.e_max), op.band
         )

@@ -16,12 +16,15 @@ from bandshape.trellis import (
     TrellisParams,
     _build,
     _count_only,
+    _level_windows,
     _slope_bound,
     build_band_trellis,
     build_full_trellis,
     deserialize,
     max_shaping_bits,
     min_emax_for_bits,
+    parse_alphabet,
+    parse_band,
     serialize,
 )
 
@@ -145,6 +148,14 @@ class TestFullTrellis:
                     1 for s in seqs if sum(a * a for a in s[:n]) == e
                 )
                 assert through == hits
+
+    def test_windows_stop_at_reach(self):
+        # past the cube maximum 108*49 = 5292, e_max adds no level to any column
+        params = TrellisParams(108, A1357, 10**7)
+        for m, (lo, hi) in enumerate(_level_windows(params, None), start=1):
+            assert lo == 0 and hi <= m * (49 - 1) // 8
+        cube = TrellisParams(108, A1357, 5292)
+        assert table(build_full_trellis(params)) == table(build_full_trellis(cube))
 
     def test_alphabet_without_one(self):
         t = build_full_trellis(TrellisParams(3, Alphabet((3, 5)), 99))
@@ -452,6 +463,31 @@ class TestNodeTable:
             assert not any(want)
         else:
             assert table(t) == want
+
+
+class TestParseText:
+    def test_alphabet(self):
+        assert parse_alphabet("1,3,5") == A135
+        for bad in ("1,x", "", "2,4", "3,1"):
+            with pytest.raises(ParameterError, match="bad alphabet"):
+                parse_alphabet(bad)
+
+    def test_band(self):
+        assert parse_band("11,0") == BandParams(11, 0)
+        for bad in ("11", "1,2,3", "a,0"):
+            with pytest.raises(ParameterError, match="expected H,W"):
+                parse_band(bad)
+        with pytest.raises(ParameterError, match="height"):
+            parse_band("0,0")
+
+    def test_header_maps_to_format_error(self):
+        text = serialize(toy_trellis())
+        for old, new in (("ALPHABET=1,3,5", "ALPHABET=1,x,5"),
+                         ("ALPHABET=1,3,5", "ALPHABET=1,4,5"),
+                         ("BAND=none", "BAND=2"), ("BAND=none", "BAND=0,1")):
+            with pytest.raises(TrellisFormatError) as info:
+                deserialize(text.replace(old, new, 1))
+            assert isinstance(info.value.__cause__, ParameterError)
 
 
 class TestSerialization:
