@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .codec import deshape, shape_stream, whole_blocks
@@ -244,6 +245,8 @@ def cmd_simulate(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ParameterError("no schemes requested")
+    if len(set(schemes)) < len(schemes):
+        raise ParameterError(f"--schemes names a scheme twice: {args.schemes!r}")
     trellis_by_scheme: dict[str, Trellis] = {}
     for scheme in schemes:
         path = getattr(args, f"trellis_{scheme}", None)
@@ -270,10 +273,12 @@ def cmd_simulate(args) -> int:
         ref_wavelength_nm=settings["wavelength"],
     )
     _log(f"sweep: schemes={schemes} powers={powers} seeds={settings['seeds']}")
-    rows = run_sweep(trellis_by_scheme, powers, settings["seeds"], link, fiber)
+    # open --out before the sweep, so a path that cannot be written fails
+    # before any propagation, and remove it again if the sweep fails
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w",
                                                           encoding="utf-8")
     try:
+        rows = run_sweep(trellis_by_scheme, powers, settings["seeds"], link, fiber)
         for key in sorted(settings):
             out.write(f"# {key}={settings[key]}\n")
         out.write(f"# schemes={','.join(schemes)} "
@@ -283,6 +288,11 @@ def cmd_simulate(args) -> int:
             out.write(f"{r['scheme']},{r['launch_power_dbm']!r},{r['snr_db']!r},"
                       f"{r['seed']},{r['step_km']!r},{r['sps']},"
                       f"{r['burst_symbols']}\n")
+    except BaseException:
+        if out is not sys.stdout:
+            out.close()
+            os.remove(args.out)
+        raise
     finally:
         if out is not sys.stdout:
             out.close()

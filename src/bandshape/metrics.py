@@ -218,7 +218,7 @@ class BandOperatingPoint:
 # the tolerance that scales each axis of the score, all in dB
 TARGET_E2_DB, TARGET_VAR_DB = 0.44, -0.67
 TOL_E2_DB, TOL_VAR_DB = 0.15, 0.20
-# the band geometries the search tries, in this order
+# the band geometries the search tries; each width walks its heights downward
 SEARCH_HEIGHTS, SEARCH_WIDTHS = range(2, 17), range(0, 3)
 
 
@@ -228,22 +228,31 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
     whose energy/variance trade-off against the full-sphere codebook lands
     closest to the dB targets above, each axis scaled by its tolerance.
     Candidates with kurtosis at or above the full-sphere value are rejected
-    outright.
+    outright; a tie goes to the lower band, then the narrower.
+
+    At a fixed e_max and width, a band of height h admits a subset of the
+    sequences of height h+1: only the window floor depends on the height,
+    and it falls as the height grows. So no grid e_max below the answer for
+    h+1 gives h 2**k sequences, and if h+1 never does, neither does h.
+    Each width therefore walks the heights downward: a search starts at the
+    previous height's e_max, and the walk stops at the first infeasible
+    height instead of scanning the whole grid for it and every lower one.
     """
     ess_e_max = min_emax_for_bits(n_amplitudes, alphabet, k)
     ess = exact_metrics(
         build_full_trellis(TrellisParams(n_amplitudes, alphabet, ess_e_max))
     )
-    best = None
-    for h in SEARCH_HEIGHTS:
-        for w in SEARCH_WIDTHS:
+    candidates = []
+    for w in SEARCH_WIDTHS:
+        e_max = ess_e_max
+        for h in reversed(SEARCH_HEIGHTS):
             band = BandParams(h, w)
             try:
                 e_max = min_emax_for_bits(
-                    n_amplitudes, alphabet, k, band=band, scan_from=ess_e_max
+                    n_amplitudes, alphabet, k, band=band, scan_from=e_max
                 )
             except InfeasibleRateError:
-                continue
+                break
             banded = exact_metrics(
                 build_band_trellis(TrellisParams(n_amplitudes, alphabet, e_max), band)
             )
@@ -253,13 +262,12 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
             delta_var = compare_db(banded.var_e, ess.var_e)
             score = math.hypot((delta_e2 - TARGET_E2_DB) / TOL_E2_DB,
                                (delta_var - TARGET_VAR_DB) / TOL_VAR_DB)
-            if best is None or score < best.score:
-                best = BandOperatingPoint(
-                    band, e_max, ess_e_max, ess, banded,
-                    delta_e2, delta_var, banded.kurtosis / ess.kurtosis, score,
-                )
-    if best is None:
+            candidates.append(BandOperatingPoint(
+                band, e_max, ess_e_max, ess, banded,
+                delta_e2, delta_var, banded.kurtosis / ess.kurtosis, score,
+            ))
+    if not candidates:
         raise InfeasibleRateError(
             f"no band in the search grid reaches k={k} with reduced kurtosis"
         )
-    return best
+    return min(candidates, key=lambda op: (op.score, op.band.height, op.band.width))

@@ -167,9 +167,10 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
     The band's upper boundary follows the full-trellis top over the last
     `width` columns; elsewhere it is a straight ramp of slope e_max/n
     snapped down onto the column's mod-8 grid. Its lower boundary trails by
-    8*(height-1), floored at the all-ones energy. Every column is also cut
-    at the tail bound top, the last level that leaves room for an all-a_min
-    completion within e_max; a full column also at its reach
+    8*(height-1), floored at the all-ones energy, so only lo depends on the
+    height, and a taller band's windows contain a lower one's. Every column
+    is also cut at the tail bound top, the last level that leaves room for
+    an all-a_min completion within e_max; a full column also at its reach
     m*(a_max**2 - a_min**2)/8, the highest level any path attains, so the
     cost of a full trellis stops growing once e_max covers the whole cube.
     hi < lo marks a column that admits nothing.
@@ -206,14 +207,19 @@ def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, in
     Each step adds one shifted copy of the column per amplitude (the step
     polynomial is sparse, so this beats a big-integer multiply), then cuts
     the column to its admitted levels; base is the level held in the lowest
-    W bits, and never drops. The list ends before the first empty column.
+    W bits, and never drops. A copy that would land wholly above hi is
+    never made, so the sum reaches at most twice as far above base as hi
+    does, however large a_max is. The list ends before the first empty
+    column.
     """
     col, base = 1, 0
     cols = [(base, col)]
     masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
     for lo, hi in windows:
-        nxt = 0
-        for s in shifts:
+        nxt, limit = 0, width * (hi - base)
+        for s in shifts:  # ascending, so every later copy lands higher still
+            if s > limit:
+                break
             nxt += col << s
         col = nxt
         if lo > base:
@@ -239,56 +245,6 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     cols = _forward(_level_windows(params, band), width, shifts)
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
-
-
-def _slope_bound(n_amplitudes: int, alphabet: Alphabet, band: BandParams,
-                 e_low: int, e_high: int) -> int:
-    """Upper bound on the band count of every grid e_max in [e_low, e_high],
-    for a range inside one slope class (e_max - n) // (8n).
-
-    Off the full-top columns, the window top of _level_windows sits at level
-    floor(m*s) - m*c, with s = (e_max - n)/(8n) and c = (a_min**2 - 1)/8, so
-    from one column to the next it moves up by floor(s) - c or that plus 1,
-    and floor(s) is the class. On a full-top column the move lies between
-    the tops of the range's two ends. Counting paths by how far below the
-    top they sit, one step of a given move is a fixed linear map with
-    nonnegative entries; taking, level by level, the largest result over the
-    column's possible moves bounds every e_max's counts from above at every
-    column, so the final sum bounds its sequence count. Windows are taken as
-    the full height below their top, never smaller than _level_windows
-    makes them. One pass costs about height * |alphabet| additions per
-    column, and covers the class's n grid points.
-    """
-    squares = alphabet.squares
-    steps = [(s - squares[0]) // 8 for s in squares]
-    reach = steps[-1]
-    tops = []
-    for e_max in (e_low, e_high):
-        params = TrellisParams(n_amplitudes, alphabet, e_max)
-        tops.append([0, *(hi for _, hi in _level_windows(params, band))])
-    ramp = (e_low - n_amplitudes) // (8 * n_amplitudes) - (squares[0] - 1) // 8
-    # no path sits further below its window top than the top's own level
-    height = min(band.height, (e_high - n_amplitudes * squares[0]) // 8 + 1)
-    tail = n_amplitudes - band.width
-    counts = [1] + [0] * (height - 1)  # paths 0, 1, ... levels below the top
-    for m in range(1, n_amplitudes + 1):
-        if m < tail:
-            moves = range(ramp, ramp + 2)
-        else:
-            moves = range(max(tops[0][m] - tops[1][m - 1], -height),
-                          min(tops[1][m] - tops[0][m - 1], height + reach) + 1)
-        # stepped[height + reach + j]: paths landing j levels below the old top
-        stepped = [0] * (3 * height + 2 * reach)
-        for below, paths in enumerate(counts):
-            if paths:
-                for d in steps:
-                    stepped[height + reach + below - d] += paths
-        nxt = [0] * height
-        for move in moves:
-            start = height + reach - move
-            nxt = list(map(max, nxt, stepped[start:start + height]))
-        counts = nxt
-    return sum(counts)
 
 
 def _build(params: TrellisParams, band: BandParams | None,
@@ -369,16 +325,14 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     length-n sequences (the n-th power of _packing's step polynomial) summed
     up to e_max, so that case sums one distribution level by level up to
     2**k. A band trellis shifts its whole window as e_max grows and its
-    count is not monotone, so the band case returns the first grid point
-    that reaches 2**k, from the bottom up. The grid splits into slope
-    classes of n points, the e_max with one (e_max - n) // (8n);
-    _slope_bound bounds every count of a class in one pass, and a class
-    whose bound stays below 2**k is skipped. The points of every other
-    class are counted exactly, in order. That returns the first hit of a
-    point-by-point scan, and proves a low band infeasible without counting
-    its points. scan_from, when given, must be a known lower bound on the
-    answer (the full-trellis minimum always is, since a band never holds
-    more sequences than its sphere); it is rounded up onto the grid.
+    count is not monotone, so the band case counts the grid points in order
+    and returns the first that reaches 2**k; a band that never does scans
+    the whole grid before InfeasibleRateError. scan_from, when given, must
+    be a known lower bound on the answer, and is rounded up onto the grid.
+    The full-trellis minimum always is one, since a band never holds more
+    sequences than its sphere. So is the answer for a taller band of the
+    same width: at every e_max, the windows of height h nest inside those
+    of height h+1 (see find_band_operating_point).
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
@@ -405,14 +359,9 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     if scan_from is not None:
         lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
 
-    span = 8 * n_amplitudes  # the energy range of one slope class, n grid points
-    for first in range(lo - (lo - n_amplitudes) % span, hi + 1, span):
-        e_low, e_high = max(lo, first), min(hi, first + span - 8)
-        if _slope_bound(n_amplitudes, alphabet, band, e_low, e_high) < target:
-            continue
-        for e_max in range(e_low, e_high + 1, 8):
-            if _count_only(TrellisParams(n_amplitudes, alphabet, e_max), band) >= target:
-                return e_max
+    for e_max in range(lo, hi + 1, 8):
+        if _count_only(TrellisParams(n_amplitudes, alphabet, e_max), band) >= target:
+            return e_max
     raise InfeasibleRateError(
         f"band h={band.height}, w={band.width} never reaches k={k}"
     )

@@ -515,6 +515,41 @@ class TestSimulate:
         assert rc == 2
         assert "fewer than 1000" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_propagation(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_step(u, coeff):
+            raise AssertionError("no split step may run")
+
+        monkeypatch.setattr(_kernels, "kerr_phase", no_step)
+        trellis = self._small_trellis(tmp_path)
+        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                   "--powers=2", "--sps", "4", "--step-km", "41", "--burst", "2048",
+                   "--guard", "128", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_failed_sweep_leaves_no_out(self, tmp_path, monkeypatch):
+        def failing_step(u, coeff):
+            raise RuntimeError("split step failed")
+
+        monkeypatch.setattr(_kernels, "kerr_phase", failing_step)
+        trellis = self._small_trellis(tmp_path)
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="split step failed"):
+            main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                  "--powers=2", "--sps", "4", "--step-km", "41", "--burst", "2048",
+                  "--guard", "128", "--out", str(out)])
+        assert not out.exists()
+
+    def test_repeated_scheme_rejected(self, tmp_path, capsys):
+        trellis = self._small_trellis(tmp_path)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess,ess",
+                   "--powers=2", "--out", str(out)])
+        assert rc == 2
+        assert "error: --schemes names a scheme twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",
                    "--out", str(tmp_path / "x.csv")])

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bandshape.errors import ParameterError
+from bandshape import metrics
+from bandshape.errors import InfeasibleRateError, ParameterError
 from bandshape.metrics import (
+    SEARCH_HEIGHTS,
+    SEARCH_WIDTHS,
+    TARGET_E2_DB,
+    TARGET_VAR_DB,
+    TOL_E2_DB,
+    TOL_VAR_DB,
+    BandOperatingPoint,
     compare_db,
     compare_trellises,
     exact_metrics,
@@ -20,10 +28,11 @@ from bandshape.trellis import (
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
+    min_emax_for_bits,
 )
 from bandshape.codec import encode_index
 
-from oracles import enumerate_sequences, exact_moments
+from oracles import enumerate_sequences, exact_moments, min_emax_scan
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -219,3 +228,54 @@ class TestOperatingPointSearch:
         assert op.delta_e2_db > 0  # band pays energy for the same rate
         assert math.isfinite(op.delta_var_db)
         assert math.isfinite(op.score)
+
+    @pytest.mark.parametrize("n, k", [(16, 24), (24, 36)])
+    def test_matches_every_geometry_scanned(self, n, k):
+        assert find_band_operating_point(n, A1357, k) == operating_point_scan(n, A1357, k)
+
+    def test_n108_walks_heights_down(self, monkeypatch):
+        # per width: heights 16 down to 6, the first that never holds 2^162,
+        # each search starting where the taller band's stopped
+        calls = []
+
+        def record(n, alphabet, k, band=None, scan_from=None):
+            calls.append((band, scan_from))
+            return min_emax_for_bits(n, alphabet, k, band=band, scan_from=scan_from)
+
+        monkeypatch.setattr(metrics, "min_emax_for_bits", record)
+        find_band_operating_point(108, A1357, 162)
+        assert calls[0] == (None, None)
+        searches = calls[1:]
+        assert [(b.height, b.width) for b, _ in searches] == [
+            (h, w) for w in range(3) for h in range(16, 5, -1)]
+        for w in range(3):
+            starts = [start for b, start in searches if b.width == w]
+            hits = [min_emax_for_bits(108, A1357, 162, band=BandParams(h, w),
+                                      scan_from=860) for h in range(16, 6, -1)]
+            assert starts == [860] + hits
+
+
+def operating_point_scan(n, alphabet, k):
+    """find_band_operating_point by brute force: every grid geometry scanned
+    point by point from the sphere minimum, in (height, width) order, keeping
+    the first strict minimum of the score."""
+    ess_e_max = min_emax_for_bits(n, alphabet, k)
+    ess = exact_metrics(build_full_trellis(TrellisParams(n, alphabet, ess_e_max)))
+    best = None
+    for h in SEARCH_HEIGHTS:
+        for w in SEARCH_WIDTHS:
+            band = BandParams(h, w)
+            try:
+                e_max = min_emax_scan(n, alphabet, k, band, scan_from=ess_e_max)
+            except InfeasibleRateError:
+                continue
+            banded = exact_metrics(build_band_trellis(TrellisParams(n, alphabet, e_max), band))
+            if banded.kurtosis >= ess.kurtosis or banded.var_e == 0.0:
+                continue
+            d_e2, d_var = compare_db(banded.e2, ess.e2), compare_db(banded.var_e, ess.var_e)
+            score = math.hypot((d_e2 - TARGET_E2_DB) / TOL_E2_DB,
+                               (d_var - TARGET_VAR_DB) / TOL_VAR_DB)
+            if best is None or score < best.score:
+                best = BandOperatingPoint(band, e_max, ess_e_max, ess, banded, d_e2,
+                                          d_var, banded.kurtosis / ess.kurtosis, score)
+    return best

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from bandshape import fibersim
+from bandshape import fibersim, metrics
 from bandshape.fibersim import FiberParams, LinkParams
+from bandshape.trellis import Alphabet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,6 +84,28 @@ def test_traced_link_records_every_stage(tracer):
     assert calls.get("fibersim.fft") == calls.get("fibersim.ifft") == steps + 2
     padded = (link.burst_symbols - 1) * link.sps + link.filter_span_symbols * link.sps + 1
     assert tr.counts["fibersim.fft_len"] == next_fast_len(padded)
+
+
+def test_traced_band_search_counts_candidates(tracer, monkeypatch):
+    # the tracer counts a candidate per band= search under the operating-point
+    # search, however many geometries that search visits
+    searches = []
+    search = metrics.min_emax_for_bits
+
+    def spy(*args, **kwargs):
+        if kwargs.get("band") is not None:
+            searches.append(kwargs["band"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "min_emax_for_bits", spy)
+    tr = tracer.Tracer()
+    uninstall = tr.install()
+    try:
+        metrics.find_band_operating_point(16, Alphabet((1, 3, 5, 7)), 24)
+    finally:
+        uninstall()
+    assert searches
+    assert tr.counts["metrics.band_candidates"] == len(searches)
 
 
 def test_machine_facts_keys(facts):
