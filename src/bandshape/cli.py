@@ -93,10 +93,7 @@ def cmd_trellis(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     band = parse_band(args.band) if args.band else None
     if args.bits is not None:
-        e_max = min_emax_for_bits(args.n, alphabet, args.bits)
-        if band:
-            e_max = min_emax_for_bits(args.n, alphabet, args.bits, band=band,
-                                      scan_from=e_max)
+        e_max = min_emax_for_bits(args.n, alphabet, args.bits, band=band)
     else:
         e_max = args.emax
     params = TrellisParams(args.n, alphabet, e_max)
@@ -247,6 +244,12 @@ def cmd_simulate(args) -> int:
         raise ParameterError("no schemes requested")
     if len(set(schemes)) < len(schemes):
         raise ParameterError(f"--schemes names a scheme twice: {args.schemes!r}")
+    for scheme in ("ess", "bess"):
+        if getattr(args, f"trellis_{scheme}") is not None and scheme not in schemes:
+            raise ParameterError(
+                f"--trellis-{scheme} is given but --schemes {args.schemes!r} "
+                f"does not name {scheme!r}"
+            )
     trellis_by_scheme: dict[str, Trellis] = {}
     for scheme in schemes:
         path = getattr(args, f"trellis_{scheme}", None)

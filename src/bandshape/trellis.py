@@ -164,31 +164,33 @@ def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...
 def _level_windows(params: TrellisParams, band: BandParams | None):
     """Admitted levels (lo, hi) of columns 1 through n, one column at a time.
 
-    The band's upper boundary follows the full-trellis top over the last
-    `width` columns; elsewhere it is a straight ramp of slope e_max/n
-    snapped down onto the column's mod-8 grid. Its lower boundary trails by
-    8*(height-1), floored at the all-ones energy, so only lo depends on the
-    height, and a taller band's windows contain a lower one's. Every column
-    is also cut at the tail bound top, the last level that leaves room for
-    an all-a_min completion within e_max; a full column also at its reach
-    m*(a_max**2 - a_min**2)/8, the highest level any path attains, so the
-    cost of a full trellis stops growing once e_max covers the whole cube.
-    hi < lo marks a column that admits nothing.
+    One rule for both trellises. The upper boundary follows the full-trellis
+    top, min(m*a_max**2, e_max - n + m), over the last `width` columns;
+    elsewhere it is a straight ramp of slope e_max/n snapped down onto the
+    column's mod-8 grid. The lower boundary trails it by 8*(height-1),
+    floored at the all-ones energy, so only lo depends on the height, and a
+    taller band's windows contain a lower one's. The sphere is the band
+    with no floor (the drop is e_max, below every level) whose full-top
+    tail covers all n columns. Every window's top is then cut at
+    min(m*reach, top): the reach (a_max**2 - a_min**2)/8 per column is the
+    highest level any path attains, and the tail bound top the last level
+    that leaves room for an all-a_min completion within e_max. lo comes from
+    the uncut boundary, so the cut admits nothing new, and a window costs
+    no more than the levels a path can reach, however large e_max or the
+    height is. hi < lo marks a column that admits nothing.
     Lazy, so a count that stops at an empty column computes no later window.
     """
     n_len, e_max = params.n_amplitudes, params.e_max
     if band is not None and band.width > n_len:
         raise ParameterError(f"band width {band.width} exceeds n={n_len}")
     min_sq, max_sq = params.alphabet.squares[0], params.alphabet.squares[-1]
-    top = (e_max - n_len * min_sq) // 8
-    if band is None:
-        reach = (max_sq - min_sq) // 8
-        yield from ((0, min(m * reach, top)) for m in range(1, n_len + 1))
-        return
-    # inline conditionals instead of min/max: the band search calls this
-    # thousands of times; e_max >= n also keeps the ramp cap m*e_max//n >= m
-    drop, tail = 8 * (band.height - 1), n_len - band.width
+    top, reach, cap = (e_max - n_len * min_sq) // 8, (max_sq - min_sq) // 8, 0
+    drop, tail = (8 * (band.height - 1), n_len - band.width) if band else (e_max, 0)
+    # inline conditionals, and a running cap instead of m*reach: the band
+    # search calls this thousands of times; e_max >= n also keeps the ramp
+    # m*e_max//n >= m
     for m in range(1, n_len + 1):
+        cap += reach
         if m < tail:
             hi = m * e_max // n_len
             hi -= (hi - m) % 8
@@ -198,6 +200,8 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
                 hi = e_max - n_len + m
         lo = hi - drop if hi - drop > m else m
         hi = (hi - m * min_sq) // 8
+        if hi > cap:
+            hi = cap
         yield (lo - m * min_sq) // 8, hi if hi < top else top
 
 
@@ -255,8 +259,9 @@ def _build(params: TrellisParams, band: BandParams | None,
     at every admitted level of the final column, on the forward pass's
     bases (no lower level holds a forward count). The forward counts need
     no pruning: every parent of a node that reaches the final column
-    reaches it too. Unpacking stops with TrellisFormatError once more than
-    max_nodes nodes are found (the node lines of a file being loaded).
+    reaches it too. With max_nodes (the node lines of a file being loaded),
+    the nodes are counted on the packed columns first, and more than
+    max_nodes raise TrellisFormatError before any level is unpacked.
     """
     n_len = params.n_amplitudes
     width, shifts = _packing(n_len, params.alphabet)
@@ -278,26 +283,32 @@ def _build(params: TrellisParams, band: BandParams | None,
         back_cols.append(col)
     back_cols.reverse()
 
-    size, min_sq = width // 8, params.alphabet.squares[0]
-    back: list[dict[int, int]] = []
-    fwd: list[dict[int, int]] = []
-    nodes = 0
-    for m, ((base, f_col), b_col, span) in enumerate(zip(fwd_cols, back_cols, spans)):
-        f_raw, b_raw = (c.to_bytes(span * size, "little") for c in (f_col, b_col))
-        back.append({})
-        fwd.append({})
-        for g in range(span):
-            b = int.from_bytes(b_raw[g * size:(g + 1) * size], "little")
-            f = int.from_bytes(f_raw[g * size:(g + 1) * size], "little")
-            if b and f:
-                e = m * min_sq + 8 * (base + g)
-                back[m][e], fwd[m][e] = b, f
-        nodes += len(back[m])
-        if max_nodes is not None and nodes > max_nodes:
+    if max_nodes is not None:
+        # no count sets its level's top bit (see _packing), so adding
+        # 2**(W-1) - 1 at every level sets that bit where the count is nonzero
+        high = ((1 << (width * max(spans))) - 1) // ((1 << width) - 1) << (width - 1)
+        fill = high - (high >> (width - 1))
+        nodes = sum(((f + fill) & high & (b + fill)).bit_count()
+                    for (_, f), b in zip(fwd_cols, back_cols))
+        if nodes > max_nodes:
             raise TrellisFormatError(
                 f"the header defines over {max_nodes} nodes, "
                 f"more than the file has node lines for"
             )
+    size, min_sq = width // 8, params.alphabet.squares[0]
+    back: list[dict[int, int]] = []
+    fwd: list[dict[int, int]] = []
+    for m, ((base, f_col), b_col, span) in enumerate(zip(fwd_cols, back_cols, spans)):
+        f_raw, b_raw = (c.to_bytes(span * size, "little") for c in (f_col, b_col))
+        back.append({})
+        fwd.append({})
+        e = m * min_sq + 8 * base
+        for at in range(0, span * size, size):
+            b = int.from_bytes(b_raw[at:at + size], "little")
+            f = int.from_bytes(f_raw[at:at + size], "little")
+            if b and f:
+                back[m][e], fwd[m][e] = b, f
+            e += 8
     return Trellis(params, band, back, fwd)
 
 
@@ -330,9 +341,10 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     the whole grid before InfeasibleRateError. scan_from, when given, must
     be a known lower bound on the answer, and is rounded up onto the grid.
     The full-trellis minimum always is one, since a band never holds more
-    sequences than its sphere. So is the answer for a taller band of the
-    same width: at every e_max, the windows of height h nest inside those
-    of height h+1 (see find_band_operating_point).
+    sequences than its sphere, and a band search without scan_from starts
+    there. So is the answer for a taller band of the same width: at every
+    e_max, the windows of height h nest inside those of height h+1 (see
+    find_band_operating_point).
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
@@ -356,8 +368,9 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
                 return e
             dist >>= width
             e += 8
-    if scan_from is not None:
-        lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
+    if scan_from is None:
+        scan_from = min_emax_for_bits(n_amplitudes, alphabet, k)
+    lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
 
     for e_max in range(lo, hi + 1, 8):
         if _count_only(TrellisParams(n_amplitudes, alphabet, e_max), band) >= target:

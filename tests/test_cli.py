@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandshape import _kernels
-from bandshape.cli import _parse_powers, main
+from bandshape import _kernels, cli
+from bandshape.cli import _parse_powers, build_parser, main
 from bandshape.errors import ParameterError
 from bandshape.trellis import (
     Alphabet,
@@ -550,7 +552,36 @@ class TestSimulate:
         assert "error: --schemes names a scheme twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unused_trellis_flag_rejected(self, tmp_path, capsys, monkeypatch):
+        # a trellis that --schemes does not name would silently get no rows
+        def no_load(path):
+            raise AssertionError("no trellis may load")
+
+        monkeypatch.setattr(cli, "load_trellis", no_load)
+        err = self._simulate_error(tmp_path, capsys, "--powers=2",
+                                   "--trellis-bess", str(tmp_path / "b.trellis"))
+        assert "--trellis-bess" in err and "'bess'" in err
+
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc != 0
+
+
+def readme_commands():
+    """Argument lists of every `bandshape` line in README's bash blocks,
+    continuation lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["bandshape"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(readme_commands())
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

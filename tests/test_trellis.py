@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -155,6 +156,9 @@ class TestFullTrellis:
         params = TrellisParams(108, A1357, 10**7)
         for m, (lo, hi) in enumerate(_level_windows(params, None), start=1):
             assert lo == 0 and hi <= m * (49 - 1) // 8
+        for band in (BandParams(11, 0), BandParams(10**6, 2)):
+            for m, (_, hi) in enumerate(_level_windows(params, band), start=1):
+                assert hi <= m * (49 - 1) // 8
         cube = TrellisParams(108, A1357, 5292)
         assert table(build_full_trellis(params)) == table(build_full_trellis(cube))
 
@@ -234,6 +238,11 @@ class TestBandTrellis:
             for e in t.levels(n):
                 assert lo <= e <= hi
 
+    def test_tall_band_far_past_the_cube(self):
+        # the ramp climbs to a million levels; no path gets past 1 level per column
+        t = build_band_trellis(TrellisParams(3, A13, 8000003), BandParams(10**6, 0))
+        assert table(t) == node_table(3, (1, 3), 8000003, (10**6, 0))
+
     def test_width_exceeding_n_rejected(self):
         with pytest.raises(ParameterError):
             build_band_trellis(TrellisParams(3, A135, 27), BandParams(2, 4))
@@ -304,6 +313,22 @@ class TestMinEmax:
         assert min_emax_for_bits(12, A135, 10, band=band, scan_from=13) == 76
         assert min_emax_for_bits(12, A135, 10, band=band, scan_from=69) == 76
         assert min_emax_for_bits(12, A135, 10, band=band, scan_from=77) == 84
+
+    def test_band_scan_starts_at_sphere_minimum(self, monkeypatch):
+        # the sphere holds 2^162 from 860 on, so no band count runs below
+        # it: 15 counts instead of 109 from the all-ones energy 108
+        band = BandParams(11, 0)
+        want = min_emax_scan(108, A1357, 162, band)
+        counted = []
+        count = trellis_module._count_only
+
+        def record(params, band):
+            counted.append(params.e_max)
+            return count(params, band)
+
+        monkeypatch.setattr(trellis_module, "_count_only", record)
+        assert min_emax_for_bits(108, A1357, 162, band=band) == want == 972
+        assert counted == list(range(860, 973, 8))
 
     def test_band_taller_than_every_column(self):
         # a window taller than any column's level range admits what the
@@ -401,13 +426,14 @@ def built_or_none(params, band):
 
 
 @st.composite
-def count_cases(draw, max_n=14):
-    """Small (params, band) pairs over any grid e_max, alphabets drawn from
-    {1,3,5,7,9} including ones whose smallest amplitude is not 1."""
+def count_cases(draw, max_n=14, past=1):
+    """Small (params, band) pairs over any grid e_max up to `past` grid
+    steps beyond the cube, alphabets drawn from {1,3,5,7,9} including ones
+    whose smallest amplitude is not 1."""
     n = draw(st.integers(1, max_n))
     amps = tuple(sorted(draw(st.sets(st.sampled_from((1, 3, 5, 7, 9)), min_size=1))))
     lo, hi = n * amps[0] ** 2, n * amps[-1] ** 2
-    e_max = lo + 8 * draw(st.integers(0, (hi - lo) // 8 + 1))
+    e_max = lo + 8 * draw(st.integers(0, (hi - lo) // 8 + past))
     band = draw(st.none() | st.builds(BandParams, st.integers(1, n), st.integers(0, n)))
     return TrellisParams(n, Alphabet(amps), e_max), band
 
@@ -435,6 +461,18 @@ class TestCountOnly:
                                           _level_windows(params, taller)):
             assert hi == hi_t and lo >= lo_t
         assert _count_only(params, band) <= _count_only(params, taller)
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_cases(past=10**6))
+    def test_band_inside_sphere(self, case):
+        # one window rule: a band only raises the sphere's floor and lowers its top
+        params, band = case
+        if band is None:
+            return
+        for (lo, hi), (lo_s, hi_s) in zip(_level_windows(params, band),
+                                          _level_windows(params, None)):
+            assert lo >= lo_s and hi <= hi_s
+        assert _count_only(params, band) <= _count_only(params, None)
 
 
 class TestNodeTable:
@@ -474,6 +512,17 @@ class TestParseText:
             with pytest.raises(TrellisFormatError) as info:
                 deserialize(text.replace(old, new, 1))
             assert isinstance(info.value.__cause__, ParameterError)
+
+
+def rejection_peak(text, match):
+    """Peak traced allocation, in bytes, of a load that must fail with match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrellisFormatError, match=match):
+            deserialize(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSerialization:
@@ -561,14 +610,22 @@ class TestSerialization:
         # a 90-byte file: no shifted column copy may outgrow the window
         text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,9999 EMAX=27 BAND=none\n"
                 + "0 0 1 1\n" * 4 + "END 1\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(TrellisFormatError, match="line 4"):
-                deserialize(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert rejection_peak(text, "line 4") < 1 << 20
+
+    def test_tall_band_header_allocates_little(self):
+        # a 101-byte file: a band window stops at the reach, not at EMAX
+        text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,3 EMAX=8000000003 BAND=10000000,0\n"
+                + "0 0 1 1\n" * 4 + "END 1\n")
+        assert rejection_peak(text, "no trellis") < 1 << 20
+
+    def test_sparse_alphabet_counts_nodes_before_unpacking(self):
+        # a 96-byte file whose windows hold 3 million levels a column
+        text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,4999 EMAX=74970003 BAND=none\n"
+                + "0 0 1 1\n" * 4 + "END 1\n")
+        start = time.perf_counter()
+        with pytest.raises(TrellisFormatError, match="over 4 nodes"):
+            deserialize(text)
+        assert time.perf_counter() - start < 1.0
 
     def test_header_without_codebook(self):
         # an empty band and a band wider than N: valid tables, impossible headers
