@@ -2,14 +2,13 @@
 
 Subcommands: trellis build/info, shape, deshape, stats, compare, simulate.
 Machine-readable results go to files or stdout; warnings and progress go to
-stderr. CSV outputs start with '# key=value' lines echoing the effective
-configuration (readers should skip '#' lines).
+stderr. CSV outputs start with '# key=value' lines echoing the settings
+used (readers should skip '#' lines).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -206,39 +205,8 @@ _SIM_DEFAULTS = {
 }
 
 
-def _sim_setting(key: str, value):
-    """A simulate setting converted to the type of its default, as the flags
-    are; a boolean, or a fraction where a whole number is due, is an error
-    rather than a silent truncation."""
-    kind = type(_SIM_DEFAULTS[key])
-    if isinstance(value, bool):
-        raise ParameterError(f"{key}={value!r} is not a number")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ParameterError(f"{key}={value!r} must be a whole number")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{key}={value!r} is not a number") from exc
-
-
 def cmd_simulate(args) -> int:
-    cfg = dict(_SIM_DEFAULTS)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except ValueError as exc:  # also a file that is not UTF-8
-                raise ParameterError(f"--config is not JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ParameterError("--config must hold a JSON object of settings")
-        unknown = set(overrides) - set(cfg)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(overrides)
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+    settings = {key: getattr(args, key) for key in _SIM_DEFAULTS}
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ParameterError("no schemes requested")
@@ -250,17 +218,7 @@ def cmd_simulate(args) -> int:
                 f"--trellis-{scheme} is given but --schemes {args.schemes!r} "
                 f"does not name {scheme!r}"
             )
-    trellis_by_scheme: dict[str, Trellis] = {}
-    for scheme in schemes:
-        path = getattr(args, f"trellis_{scheme}", None)
-        if path is None:
-            raise ParameterError(
-                f"scheme {scheme!r} needs --trellis-{scheme} (known: ess, bess)"
-            )
-        trellis_by_scheme[scheme] = load_trellis(path)
     powers = _parse_powers(args.powers)
-
-    settings = {key: _sim_setting(key, value) for key, value in cfg.items()}
     link = LinkParams(
         baud_rate_gbd=settings["baud"], rrc_rolloff=settings["rolloff"],
         edfa_nf_db=settings["nf"], launch_power_dbm=powers[0],
@@ -275,6 +233,15 @@ def cmd_simulate(args) -> int:
         gamma_per_w_km=settings["gamma"], length_km=settings["length"],
         ref_wavelength_nm=settings["wavelength"],
     )
+    # every setting is checked above, so a bad one fails before a load
+    trellis_by_scheme: dict[str, Trellis] = {}
+    for scheme in schemes:
+        path = getattr(args, f"trellis_{scheme}", None)
+        if path is None:
+            raise ParameterError(
+                f"scheme {scheme!r} needs --trellis-{scheme} (known: ess, bess)"
+            )
+        trellis_by_scheme[scheme] = load_trellis(path)
     _log(f"sweep: schemes={schemes} powers={powers} seeds={settings['seeds']}")
     # open --out before the sweep, so a path that cannot be written fails
     # before any propagation, and remove it again if the sweep fails
@@ -356,12 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--powers", default="-2:1:8",
                           help="launch power dBm sweep start:step:stop, inclusive "
                                "(write --powers=-2:1:8 when start is negative)")
-    simulate.add_argument("--config", help="JSON file with parameter defaults "
-                                           "(flags still win)")
     simulate.add_argument("--out", help="CSV output path (default stdout)")
     for key, default in _SIM_DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
-        simulate.add_argument(flag, dest=key, type=type(default), default=None,
+        simulate.add_argument(flag, dest=key, type=type(default), default=default,
                               help=f"default {default}")
     return parser
 

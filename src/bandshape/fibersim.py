@@ -16,6 +16,7 @@ receiver-side compensator applies the conjugate filter.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -91,6 +92,8 @@ class LinkParams:
             raise ParameterError("rolloff must be in (0, 1]")
         if self.sps < 4:
             raise ParameterError("sps must be >= 4")
+        if self.filter_span_symbols < 8 or self.filter_span_symbols % 2:
+            raise ParameterError("filter span must be even and >= 8 symbols")
         if self.step_km <= 0:
             raise ParameterError("step_km must be positive")
         if self.edfa_nf_db < 0:
@@ -321,12 +324,10 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
 
 def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
     """Two amplitude rails drawn from uniform k-bit indices, seeded by tag."""
-    import random as _random
-
     k = max_shaping_bits(trellis)
     n_len = trellis.params.n_amplitudes
     per_rail = math.ceil(n_symbols / n_len)
-    rng = _random.Random(tag)
+    rng = random.Random(tag)
     rails = []
     for _ in range(2):
         chunks = []

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import shlex
@@ -381,19 +380,6 @@ class TestSimulate:
         config_lines = [l for l in out1.read_text().splitlines() if l.startswith("#")]
         assert any("length" in l for l in config_lines)
 
-    def test_config_file_layer(self, tmp_path):
-        trellis = self._small_trellis(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 0.0, "burst": 2048, "guard": 128,
-                                   "sps": 4, "step_km": 41.0}))
-        out = tmp_path / "c.csv"
-        assert main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
-                     "--powers", "2", "--config", str(cfg),
-                     "--length", "205", "--out", str(out)]) == 0
-        header = [l for l in out.read_text().splitlines() if l.startswith("#")]
-        assert any("gamma=0.0" in l for l in header)
-        assert any("step_km=41.0" in l for l in header)
-
     def test_power_grid_parse(self, tmp_path):
         trellis = self._small_trellis(tmp_path)
         out = tmp_path / "d.csv"
@@ -435,62 +421,57 @@ class TestSimulate:
     def test_bad_power_field(self, tmp_path, capsys, text):
         assert text in self._simulate_error(tmp_path, capsys, f"--powers={text}")
 
-    def test_config_not_json(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"sps": 8')
-        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
-        assert "not JSON" in err
-
-    def test_config_not_utf8(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(b'{"sps": "\xff"}')
-        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
-        assert "not JSON" in err
-
-    @pytest.mark.parametrize("body", ["5", '[["sps", 8]]'])
-    def test_config_not_an_object(self, tmp_path, capsys, body):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(body)
-        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
-        assert "JSON object" in err
-
-    def test_config_value_not_a_number(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sps": "abc"}))
-        err = self._simulate_error(tmp_path, capsys, "--config", str(cfg))
-        assert "sps='abc' is not a number" in err
-
     @pytest.mark.parametrize("extra", [["--length", "inf"], ["--gamma", "nan"]])
     def test_nonfinite_setting(self, tmp_path, capsys, extra):
         err = self._simulate_error(tmp_path, capsys, "--powers=2", *extra)
         assert "must be finite" in err
 
-    @pytest.mark.parametrize("body, message", [
-        ({"sps": 4.9}, "sps=4.9 must be a whole number"),
-        ({"burst": 2000.7}, "burst=2000.7 must be a whole number"),
-        ({"seed": True}, "seed=True is not a number"),
-        ({"gamma": False}, "gamma=False is not a number"),
+    @pytest.mark.parametrize("extra, message", [
+        (["--config", "x.json"], "unrecognized arguments: --config"),
+        # a fraction or a boolean is an error, never truncated or cast
+        (["--sps", "4.9"], "invalid int value: '4.9'"),
+        (["--burst", "2000.0"], "invalid int value: '2000.0'"),
+        (["--gamma", "False"], "invalid float value: 'False'"),
     ])
-    def test_config_value_not_truncated(self, tmp_path, capsys, body, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(body))
-        err = self._simulate_error(tmp_path, capsys, "--powers=2", "--config", str(cfg))
-        assert message in err
-
-    def test_config_header_echoes_converted_values(self, tmp_path):
+    def test_flag_rejected_by_parser(self, tmp_path, capsys, extra, message):
         trellis = self._small_trellis(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 0, "burst": 2048.0, "guard": 128,
-                                   "sps": 4.0, "step_km": 41}))
-        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
+                  *extra])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--gamma", "nan"], "must be finite"),
+        (["--length", "inf"], "must be finite"),
+        (["--guard", "8000"], "measured symbols"),
+        (["--step-km", "0"], "step_km must be positive"),
+        (["--rolloff", "0"], "rolloff must be in"),
+        (["--sps", "3"], "sps must be >= 4"),
+        (["--filter-span", "7"], "filter span must be even"),
+        (["--powers=abc"], "bad power sweep"),
+    ])
+    def test_bad_setting_fails_before_trellis_loads(self, tmp_path, capsys,
+                                                    monkeypatch, extra, message):
+        def no_load(path):
+            raise AssertionError("no trellis may load")
+
+        monkeypatch.setattr(cli, "load_trellis", no_load)
+        err = self._simulate_error(tmp_path, capsys, "--powers=2", *extra)
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_header_echoes_every_default(self, tmp_path, monkeypatch):
+        # no setting flag is given, and the sweep itself is not the subject
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: [])
+        trellis = self._small_trellis(tmp_path)
+        out = tmp_path / "x.csv"
         assert main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
-                     "--powers", "2", "--config", str(cfg),
-                     "--length", "205", "--out", str(out)]) == 0
-        header = [l for l in out.read_text().splitlines() if l.startswith("# ")]
-        for line in ("# gamma=0.0", "# burst=2048", "# sps=4", "# step_km=41.0"):
-            assert line in header
-        rows = [l for l in out.read_text().splitlines() if l.startswith("ess,")]
-        assert rows and all(r.endswith(",41.0,4,2048") for r in rows)
+                     "--out", str(out)]) == 0
+        header = [l[2:] for l in out.read_text().splitlines()
+                  if l.startswith("# ") and " " not in l[2:]]
+        echoed = dict(l.split("=", 1) for l in header)
+        assert echoed == {key: str(value) for key, value in cli._SIM_DEFAULTS.items()}
 
     @pytest.mark.parametrize("flag", [["--seeds", "0"], ["--seeds=-2"]])
     def test_empty_seed_sweep(self, tmp_path, capsys, flag):

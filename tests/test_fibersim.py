@@ -417,6 +417,9 @@ class TestParamValidation:
             small_link(step_km=0.0)
         with pytest.raises(ParameterError):
             small_link(guard_symbols=3000)  # 2*guard >= burst
+        for span in (7, 6):  # rrc_taps's rule, checked before any rail is encoded
+            with pytest.raises(ParameterError, match="filter span must be even"):
+                small_link(filter_span_symbols=span)
 
     def test_fiber_invariants(self):
         with pytest.raises(ParameterError):
