@@ -83,12 +83,14 @@ def _metric_lines(m, prefix: str) -> list[str]:
                     for key in ("e2", "e4", "var_e", "kurtosis")]
 
 
-def cmd_trellis(args) -> int:
-    if args.action == "info":
-        trellis = load_trellis(args.file)
-        for line in _summary_lines(trellis) + _metric_lines(exact_metrics(trellis), ""):
-            print(line)
-        return 0
+def cmd_info(args) -> int:
+    trellis = load_trellis(args.file)
+    for line in _summary_lines(trellis) + _metric_lines(exact_metrics(trellis), ""):
+        print(line)
+    return 0
+
+
+def cmd_build(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     band = parse_band(args.band) if args.band else None
     if args.bits is not None:
@@ -206,7 +208,6 @@ _SIM_DEFAULTS = {
 
 
 def cmd_simulate(args) -> int:
-    settings = {key: getattr(args, key) for key in _SIM_DEFAULTS}
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ParameterError("no schemes requested")
@@ -220,18 +221,15 @@ def cmd_simulate(args) -> int:
             )
     powers = _parse_powers(args.powers)
     link = LinkParams(
-        baud_rate_gbd=settings["baud"], rrc_rolloff=settings["rolloff"],
-        edfa_nf_db=settings["nf"], launch_power_dbm=powers[0],
-        sps=settings["sps"], step_km=settings["step_km"],
-        seed=settings["seed"], burst_symbols=settings["burst"],
-        filter_span_symbols=settings["filter_span"],
-        guard_symbols=settings["guard"],
+        baud_rate_gbd=args.baud, rrc_rolloff=args.rolloff, edfa_nf_db=args.nf,
+        launch_power_dbm=powers[0], sps=args.sps, step_km=args.step_km,
+        seed=args.seed, burst_symbols=args.burst,
+        filter_span_symbols=args.filter_span, guard_symbols=args.guard,
     )
     fiber = FiberParams(
-        alpha_db_per_km=settings["alpha"],
-        dispersion_ps_nm_km=settings["dispersion"],
-        gamma_per_w_km=settings["gamma"], length_km=settings["length"],
-        ref_wavelength_nm=settings["wavelength"],
+        alpha_db_per_km=args.alpha, dispersion_ps_nm_km=args.dispersion,
+        gamma_per_w_km=args.gamma, length_km=args.length,
+        ref_wavelength_nm=args.wavelength,
     )
     # every setting is checked above, so a bad one fails before a load
     trellis_by_scheme: dict[str, Trellis] = {}
@@ -242,15 +240,15 @@ def cmd_simulate(args) -> int:
                 f"scheme {scheme!r} needs --trellis-{scheme} (known: ess, bess)"
             )
         trellis_by_scheme[scheme] = load_trellis(path)
-    _log(f"sweep: schemes={schemes} powers={powers} seeds={settings['seeds']}")
+    _log(f"sweep: schemes={schemes} powers={powers} seeds={args.seeds}")
     # open --out before the sweep, so a path that cannot be written fails
     # before any propagation, and remove it again if the sweep fails
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w",
                                                           encoding="utf-8")
     try:
-        rows = run_sweep(trellis_by_scheme, powers, settings["seeds"], link, fiber)
-        for key in sorted(settings):
-            out.write(f"# {key}={settings[key]}\n")
+        rows = run_sweep(trellis_by_scheme, powers, args.seeds, link, fiber)
+        for key in sorted(_SIM_DEFAULTS):
+            out.write(f"# {key}={getattr(args, key)}\n")
         out.write(f"# schemes={','.join(schemes)} "
                   f"powers={args.powers}\n")
         out.write("scheme,launch_power_dbm,snr_db,seed,step_km,sps,burst_symbols\n")
@@ -263,9 +261,8 @@ def cmd_simulate(args) -> int:
             out.close()
             os.remove(args.out)
         raise
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if out is not sys.stdout:
+        out.close()
     return 0
 
 
@@ -289,18 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pick the smallest e_max reaching this many bits")
     build.add_argument("--band", help="band restriction HEIGHT,WIDTH")
     build.add_argument("--out", required=True, help="output trellis file")
+    build.set_defaults(run=cmd_build)
     info = tsub.add_parser("info", help="print parameters, counts, and metrics")
     info.add_argument("file")
+    info.set_defaults(run=cmd_info)
 
     shape_p = sub.add_parser("shape", help="bit file -> amplitude file")
     shape_p.add_argument("--trellis", required=True)
     shape_p.add_argument("--in", dest="infile", required=True)
     shape_p.add_argument("--out", required=True)
+    shape_p.set_defaults(run=cmd_shape)
 
     deshape_p = sub.add_parser("deshape", help="amplitude file -> bit file")
     deshape_p.add_argument("--trellis", required=True)
     deshape_p.add_argument("--in", dest="infile", required=True)
     deshape_p.add_argument("--out", required=True)
+    deshape_p.set_defaults(run=cmd_deshape)
 
     stats = sub.add_parser("stats", help="exact and sampled shaping metrics")
     stats.add_argument("--trellis", required=True)
@@ -309,11 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "used index is swept instead")
     stats.add_argument("--seed", type=int, default=DEFAULT_SEED)
     stats.add_argument("--csv", help="also write a CSV report")
+    stats.set_defaults(run=cmd_stats)
 
     compare = sub.add_parser("compare", help="side-by-side metrics of two trellises")
     compare.add_argument("--a", required=True)
     compare.add_argument("--b", required=True)
     compare.add_argument("--csv", help="also write a CSV report")
+    compare.set_defaults(run=cmd_compare)
 
     simulate = sub.add_parser("simulate", help="launch-power sweep over the fiber")
     simulate.add_argument("--trellis-ess", dest="trellis_ess")
@@ -328,22 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
         flag = "--" + key.replace("_", "-")
         simulate.add_argument(flag, dest=key, type=type(default), default=default,
                               help=f"default {default}")
+    simulate.set_defaults(run=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "trellis": cmd_trellis,
-        "shape": cmd_shape,
-        "deshape": cmd_deshape,
-        "stats": cmd_stats,
-        "compare": cmd_compare,
-        "simulate": cmd_simulate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (BandshapeError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

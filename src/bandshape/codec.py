@@ -68,7 +68,7 @@ def decode_index(trellis: Trellis, seq) -> int:
                 break
             index += trellis.back_count(n + 1, energy + s)
         energy += v * v
-        if not trellis.is_active(n + 1, energy):
+        if not trellis.back_count(n + 1, energy):
             raise InvalidSequenceError(
                 f"prefix {values[: n + 1]} leaves the trellis at column {n + 1}"
             )

@@ -52,14 +52,6 @@ class SampledMetrics(ShapingMetrics):
     se_e2: float
 
 
-@dataclass(frozen=True)
-class SequenceEnergyStats:
-    """Population mean/variance of squared amplitudes of one sequence."""
-
-    mean_e: float
-    var_e: float
-
-
 def _metrics_from_occurrences(alphabet, occ, total) -> tuple:
     p = [Fraction(occ[a], total) for a in alphabet]
     e2 = sum(pa * a * a for pa, a in zip(p, alphabet))
@@ -138,20 +130,9 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
                           se_e2=se_e2)
 
 
-def sequence_energy_stats(seq) -> SequenceEnergyStats:
-    """Population (divide-by-n) statistics of one sequence's squared values."""
-    values = tuple(int(v) for v in seq)
-    if not values:
-        raise ParameterError("sequence must be nonempty")
-    sq = [v * v for v in values]
-    n = len(sq)
-    mean = sum(sq) / n
-    var = sum((x - mean) ** 2 for x in sq) / n
-    return SequenceEnergyStats(mean, var)
-
-
 def windowed_energy_deviation(seq, window_len: int):
-    """Sliding-window (stride 1) energy sums and their population deviation."""
+    """Sliding-window (stride 1) energy sums and their population deviation;
+    at window_len 1, the squared amplitudes and their standard deviation."""
     values = tuple(int(v) for v in seq)
     if not 1 <= window_len <= len(values):
         raise ParameterError(

@@ -12,6 +12,7 @@ admitted sequences accumulate energy near-linearly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -25,6 +26,14 @@ from .errors import (
 _MAGIC = "ESSTRELLIS v1"
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, never truncated from a float (numpy integers pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ascending positive odd amplitude levels.
@@ -36,7 +45,7 @@ class Alphabet:
     amplitudes: tuple[int, ...]
 
     def __post_init__(self):
-        amps = tuple(int(a) for a in self.amplitudes)
+        amps = tuple(_integer(a, "amplitude") for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if not amps:
             raise ParameterError("alphabet must be nonempty")
@@ -67,8 +76,8 @@ class TrellisParams:
     e_max: int
 
     def __post_init__(self):
-        n = int(self.n_amplitudes)
-        e = int(self.e_max)
+        n = _integer(self.n_amplitudes, "n_amplitudes")
+        e = _integer(self.e_max, "e_max")
         object.__setattr__(self, "n_amplitudes", n)
         if n < 1:
             raise ParameterError("n_amplitudes must be >= 1")
@@ -77,11 +86,7 @@ class TrellisParams:
             raise ParameterError(
                 f"e_max={e} cannot fit the minimum-energy sequence ({min_energy})"
             )
-        e -= (e - n) % 8
-        if e < min_energy:
-            raise ParameterError(
-                f"e_max={self.e_max} snaps to {e}, below the minimum energy {min_energy}"
-            )
+        e -= (e - n) % 8  # stops at or above min_energy, itself on the grid
         object.__setattr__(self, "e_max", e)
 
     @property
@@ -99,6 +104,8 @@ class BandParams:
     width: int
 
     def __post_init__(self):
+        object.__setattr__(self, "height", _integer(self.height, "band height"))
+        object.__setattr__(self, "width", _integer(self.width, "band width"))
         if self.height < 1:
             raise ParameterError("band height must be >= 1")
         if self.width < 0:
@@ -129,9 +136,6 @@ class Trellis:
 
     def fwd_count(self, n: int, e: int) -> int:
         return self._fwd[n].get(e, 0)
-
-    def is_active(self, n: int, e: int) -> bool:
-        return e in self._back[n]
 
     @property
     def num_sequences(self) -> int:
@@ -351,11 +355,12 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     squares = alphabet.squares
     lo = n_amplitudes * squares[0]
     hi = n_amplitudes * squares[-1]
-    target = 1 << k
-    if len(alphabet) ** n_amplitudes < target:
+    # compare exponents first: 1 << k alone can take gigabytes
+    if k > (len(alphabet) ** n_amplitudes).bit_length() - 1:
         raise InfeasibleRateError(
             f"k={k} exceeds the {len(alphabet)}-ary cube of length {n_amplitudes}"
         )
+    target = 1 << k
     if band is None:
         width, shifts = _packing(n_amplitudes, alphabet)
         dist = sum(1 << s for s in shifts) ** n_amplitudes

@@ -31,7 +31,7 @@ from bandshape.fibersim import (
 from bandshape.metrics import (
     compare_db,
     find_band_operating_point,
-    sequence_energy_stats,
+    windowed_energy_deviation,
 )
 from bandshape.trellis import (
     Alphabet,
@@ -126,11 +126,13 @@ def test_criterion_2_bijectivity_grid():
 # --------------------------------------------------------------------------
 
 def test_criterion_3_sequence_energy_variance():
-    spiky = sequence_energy_stats((7, 3, 1, 1, 1, 1, 1))
-    flat = sequence_energy_stats((3, 3, 3, 3, 3, 3, 3))
-    assert spiky.var_e == pytest.approx(274.29, abs=0.01)
-    assert flat.var_e == 0.0
-    report("3", "PASS", f"var=274.29 within 0.01 (got {spiky.var_e:.4f}); flat var=0")
+    # at window 1 the sums are the squared amplitudes, so the deviation
+    # squared is the per-sequence energy variance
+    spiky_var = windowed_energy_deviation((7, 3, 1, 1, 1, 1, 1), 1)[1] ** 2
+    flat_var = windowed_energy_deviation((3, 3, 3, 3, 3, 3, 3), 1)[1] ** 2
+    assert spiky_var == pytest.approx(274.29, abs=0.01)
+    assert flat_var == 0.0
+    report("3", "PASS", f"var=274.29 within 0.01 (got {spiky_var:.4f}); flat var=0")
 
 
 # --------------------------------------------------------------------------

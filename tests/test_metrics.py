@@ -18,7 +18,6 @@ from bandshape.metrics import (
     exact_metrics,
     find_band_operating_point,
     sampled_metrics,
-    sequence_energy_stats,
     windowed_energy_deviation,
 )
 from bandshape.trellis import (
@@ -150,18 +149,21 @@ class TestSampledMetrics:
 
 
 class TestSequenceEnergyStats:
+    """Per-sequence mean and variance of the energy: the window-1 sums are
+    the squared amplitudes."""
+
     def test_spiky_sequence(self):
-        s = sequence_energy_stats((7, 3, 1, 1, 1, 1, 1))
-        assert s.var_e == pytest.approx(274.29, abs=0.01)
-        assert s.mean_e == pytest.approx(9.0)
+        sums, dev = windowed_energy_deviation((7, 3, 1, 1, 1, 1, 1), 1)
+        assert dev**2 == pytest.approx(274.29, abs=0.01)
+        assert sum(sums) / len(sums) == pytest.approx(9.0)
 
     def test_flat_sequence(self):
-        assert sequence_energy_stats((3,) * 7).var_e == 0.0
+        assert windowed_energy_deviation((3,) * 7, 1)[1] ** 2 == 0.0
 
     def test_single(self):
-        s = sequence_energy_stats((1,))
-        assert s.mean_e == 1.0
-        assert s.var_e == 0.0
+        sums, dev = windowed_energy_deviation((1,), 1)
+        assert sum(sums) / len(sums) == 1.0
+        assert dev**2 == 0.0
 
 
 class TestWindowedEnergyDeviation:

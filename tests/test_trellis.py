@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,39 @@ class TestParams:
             BandParams(0, 0)
         with pytest.raises(ParameterError):
             BandParams(2, -1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Alphabet((1.9, 3)),
+        lambda: TrellisParams(3.9, A135, 27),
+        lambda: TrellisParams(3, A135, 27.9),
+        lambda: TrellisParams(3, A135, "27"),
+        lambda: BandParams(2, 1.5),
+        lambda: BandParams(2.5, 1),
+    ], ids=["amplitude", "n", "e_max", "e_max_text", "band_width", "band_height"])
+    def test_non_integers_rejected_not_truncated(self, make):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        p = TrellisParams(np.int64(3), Alphabet((np.int32(1), 3, 5)), np.int64(27))
+        band = BandParams(np.int64(2), np.int8(1))
+        values = (*p.alphabet.amplitudes, p.n_amplitudes, p.e_max,
+                  band.height, band.width)
+        assert values == (1, 3, 5, 3, 27, 2, 1)
+        assert all(type(v) is int for v in values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300),
+           st.sets(st.integers(0, 400).map(lambda i: 2 * i + 1), min_size=1),
+           st.integers(0, 10**7))
+    def test_snapped_emax_stays_feasible(self, n, amps, extra):
+        # odd squares are 1 mod 8, so n * a_min**2 is itself on the grid and
+        # snapping any e_max at or above it down cannot pass it
+        alphabet = Alphabet(tuple(sorted(amps)))
+        floor = n * alphabet.squares[0]
+        e_max = TrellisParams(n, alphabet, floor + extra).e_max
+        assert (e_max - n) % 8 == 0
+        assert floor <= e_max <= floor + extra < e_max + 8
 
 
 class TestFullTrellis:
@@ -295,6 +329,17 @@ class TestMinEmax:
     def test_infeasible(self):
         with pytest.raises(InfeasibleRateError):
             min_emax_for_bits(3, A13, 4)  # 2^3 sequences max
+
+    def test_infeasible_k_is_rejected_before_2_to_k_exists(self):
+        # 2**(10**9) alone would take 125 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleRateError):
+                min_emax_for_bits(3, A13, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_band_variant(self):
         # frozen from the brute-force scan: first grid e_max reaching 8 sequences
