@@ -16,12 +16,13 @@ receiver-side compensator applies the conjugate filter.
 from __future__ import annotations
 
 import math
+import os
 import random
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.fft import fft, ifft, fftfreq, next_fast_len
-from scipy.signal import fftconvolve, upfirdn
+from scipy.fft import fft, fftn, ifft, ifftn, fftfreq, next_fast_len
 
 from . import _kernels, pasmap
 from .codec import encode_index
@@ -145,8 +146,21 @@ def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
 
 
 def modulate(symbols, sps: int, taps: np.ndarray) -> np.ndarray:
-    """Upsample by sps and pulse-shape (linear convolution)."""
-    return upfirdn(taps, np.asarray(symbols, dtype=complex), up=sps)
+    """Upsample by sps and pulse-shape (linear convolution).
+
+    Output phase p (samples p, p + sps, ...) is the symbols filtered by the
+    polyphase taps taps[p::sps]. Adding the taps' shifted products in
+    descending tap order gives the same bits as scipy.signal.upfirdn.
+    """
+    x = np.asarray(symbols, dtype=complex)
+    if x.size == 0:
+        raise ParameterError("no symbols to modulate")
+    out = np.zeros((x.size - 1) * sps + taps.size, dtype=complex)
+    for p in range(sps):
+        phase = out[p::sps]
+        for i, tap in reversed(list(enumerate(taps[p::sps]))):
+            phase[i:i + x.size] += tap * x
+    return out
 
 
 def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
@@ -156,10 +170,15 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     plus this matched filter. Returns every complete symbol from there on;
     callers slice to the count they sent.
     """
-    samples = np.asarray(samples)
+    samples = np.asarray(samples, dtype=complex)
     if samples.size == 0:
         raise ParameterError("waveform is empty")
-    return fftconvolve(samples, taps, mode="full")[taps.size - 1::sps]
+    # the full linear convolution through one zero-padded FFT product, the
+    # steps and lengths of scipy.signal.fftconvolve, so the bits are its own
+    size = samples.size + taps.size - 1
+    shape = (next_fast_len(size, False),)
+    full = ifftn(fftn(samples, shape) * fftn(taps, shape), shape)
+    return full[taps.size - 1:size:sps]
 
 
 def _scale_to_power(samples: np.ndarray, power_dbm: float) -> np.ndarray:
@@ -338,6 +357,13 @@ def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarra
     return rails[0], rails[1]
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
               link: LinkParams, fiber: FiberParams) -> list[dict]:
     """Grid of run_link calls over (scheme, launch power, seed index).
@@ -346,10 +372,17 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     schemes see identical sign-bit and ASE realizations (common random
     numbers); the shaped payload is redrawn per seed from the same index
     stream through each scheme's codebook.
+
+    The payloads are drawn here, in order; the links then run on a thread
+    pool as wide as the usable cores. Each link works on its own arrays,
+    and pocketfft and numpy's ufuncs release the GIL, so the links overlap
+    and every SNR is the one a plain loop gives. If a link raises, the
+    links not yet started are cancelled and the error of the first failed
+    link in (scheme, seed, power) order propagates.
     """
     if seeds < 1:
         raise ParameterError(f"seed sweep needs at least one seed, got {seeds}")
-    rows = []
+    jobs = []
     for scheme, trellis in trellis_by_scheme.items():
         for si in range(seeds):
             derived = (link.seed * 1000003 + si) % (1 << 63)
@@ -358,14 +391,29 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
             )
             for p in powers:
                 run = replace(link, launch_power_dbm=float(p), seed=derived)
-                rows.append({
-                    "scheme": scheme,
-                    "launch_power_dbm": float(p),
-                    "snr_db": run_link(i_rail, q_rail, run, fiber),
-                    "seed": derived,
-                    "step_km": link.step_km,
-                    "sps": link.sps,
-                    "burst_symbols": link.burst_symbols,
-                })
+                jobs.append((scheme, run, i_rail, q_rail))
+    if not jobs:
+        return []
+    pool = ThreadPoolExecutor(max_workers=min(len(jobs), usable_cores()))
+    try:
+        # run_link is looked up in this module's namespace, where a tracer
+        # or a test may have replaced it
+        futures = [pool.submit(run_link, i_rail, q_rail, run, fiber)
+                   for _, run, i_rail, q_rail in jobs]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # drop the queued links; the ones running finish first
+        pool.shutdown(cancel_futures=True)
+    rows = []
+    for (scheme, run, _, _), future in zip(jobs, futures):
+        rows.append({
+            "scheme": scheme,
+            "launch_power_dbm": run.launch_power_dbm,
+            "snr_db": future.result(),
+            "seed": run.seed,
+            "step_km": link.step_km,
+            "sps": link.sps,
+            "burst_symbols": link.burst_symbols,
+        })
     rows.sort(key=lambda r: (r["scheme"], r["launch_power_dbm"], r["seed"]))
     return rows

@@ -1,11 +1,13 @@
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, fftfreq
 
-from bandshape import _kernels
+from bandshape import _kernels, fibersim
 from bandshape.errors import NumericalError, ParameterError
 from bandshape.fibersim import (
     FiberParams,
@@ -21,7 +23,13 @@ from bandshape.fibersim import (
     run_sweep,
     ssfm_span,
 )
-from bandshape.trellis import Alphabet, TrellisParams, build_full_trellis
+from bandshape.trellis import (
+    Alphabet,
+    BandParams,
+    TrellisParams,
+    build_band_trellis,
+    build_full_trellis,
+)
 
 from oracles import kerr_phase_reference, ssfm_reference
 
@@ -121,6 +129,26 @@ class TestModulateDemodulate:
         taps = rrc_taps(0.1, 16, 4)
         with pytest.raises(ParameterError):
             demodulate(np.array([], dtype=complex), taps, 4)
+
+    def test_no_symbols_rejected(self):
+        with pytest.raises(ParameterError):
+            modulate(np.array([], dtype=complex), 4, rrc_taps(0.1, 16, 4))
+
+    @pytest.mark.parametrize("sps", [4, 8, 16])
+    @pytest.mark.parametrize("span", [8, 64])
+    @pytest.mark.parametrize("n_symbols", [1, 7, 16384])
+    def test_bit_identical_to_scipy_signal(self, sps, span, n_symbols):
+        # scipy.signal is the oracle only: the program does not import it
+        from scipy.signal import fftconvolve, upfirdn
+
+        taps = rrc_taps(0.1, span, sps)
+        rng = np.random.default_rng(sps * 1000 + span + n_symbols)
+        sym = rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
+        wf = modulate(sym, sps, taps)
+        assert np.array_equal(wf, upfirdn(taps, sym, up=sps))
+        noisy = wf + 1e-3 * (rng.normal(size=wf.size) + 1j * rng.normal(size=wf.size))
+        assert np.array_equal(demodulate(noisy, taps, sps),
+                              fftconvolve(noisy, taps, mode="full")[taps.size - 1::sps])
 
 
 class TestSsfm:
@@ -363,6 +391,61 @@ class TestRunSweep:
             assert set(r) == {"scheme", "launch_power_dbm", "snr_db", "seed",
                               "step_km", "sps", "burst_symbols"}
 
+    def test_equals_a_plain_loop_of_links(self):
+        # the pooled sweep returns, bit for bit, what one link at a time gives
+        schemes = {
+            "ess": build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236)),
+            "bess": build_band_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 260),
+                                       BandParams(4, 1)),
+        }
+        powers = [0.0, 4.0, 8.0]
+        link = small_link(burst_symbols=2048, guard_symbols=128, step_km=41.0, seed=3)
+        rows = run_sweep(schemes, powers=powers, seeds=2, link=link, fiber=SPAN_FIBER)
+        expected = []
+        for scheme, trellis in schemes.items():
+            for si in range(2):
+                derived = (link.seed * 1000003 + si) % (1 << 63)
+                i_rail, q_rail = fibersim._shaped_rails(
+                    trellis, link.burst_symbols, f"{link.seed}:{si}:data")
+                for p in powers:
+                    run = replace(link, launch_power_dbm=p, seed=derived)
+                    expected.append({
+                        "scheme": scheme, "launch_power_dbm": p,
+                        "snr_db": run_link(i_rail, q_rail, run, SPAN_FIBER),
+                        "seed": derived, "step_km": link.step_km, "sps": link.sps,
+                        "burst_symbols": link.burst_symbols,
+                    })
+        expected.sort(key=lambda r: (r["scheme"], r["launch_power_dbm"], r["seed"]))
+        assert len(rows) == 12
+        assert rows == expected
+
+    def test_failed_link_cancels_the_queue(self, monkeypatch):
+        # the link at 0 dBm fails after the one at 1 dBm, but comes first in
+        # job order, so its error is the one raised; queued links never start
+        calls = []
+        lock = threading.Lock()
+
+        def fake_link(i_rail, q_rail, run, fiber):
+            with lock:
+                calls.append(run.launch_power_dbm)
+            if run.launch_power_dbm == 0.0:
+                time.sleep(0.2)
+                raise RuntimeError("first link failed")
+            if run.launch_power_dbm == 1.0:
+                raise RuntimeError("second link failed")
+            time.sleep(0.05)
+            return 10.0
+
+        monkeypatch.setattr(fibersim, "run_link", fake_link)
+        monkeypatch.setattr(fibersim, "usable_cores", lambda: 2)
+        trellis = build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236))
+        powers = [float(p) for p in range(20)]
+        with pytest.raises(RuntimeError, match="first link failed"):
+            run_sweep({"ess": trellis}, powers=powers, seeds=1,
+                      link=small_link(), fiber=SPAN_FIBER)
+        assert {0.0, 1.0} <= set(calls)
+        assert len(calls) < len(powers) // 2
+
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_empty_seed_sweep_rejected(self, seeds):
         trellis = build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236))
@@ -374,8 +457,6 @@ class TestRunSweep:
 class TestShapingInvariance:
     def test_linear_regime_schemes_indistinguishable(self):
         # gamma=0 at equal launch power: shaping is invisible to effective SNR
-        from bandshape.trellis import BandParams, build_band_trellis
-
         params = TrellisParams(12, Alphabet((1, 3, 5, 7)), 236)
         full = build_full_trellis(params)
         band = build_band_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 260),
