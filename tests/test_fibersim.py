@@ -391,8 +391,10 @@ class TestRunSweep:
             assert set(r) == {"scheme", "launch_power_dbm", "snr_db", "seed",
                               "step_km", "sps", "burst_symbols"}
 
-    def test_equals_a_plain_loop_of_links(self):
-        # the pooled sweep returns, bit for bit, what one link at a time gives
+    def test_equals_a_plain_loop_of_links(self, monkeypatch):
+        # the pooled sweep returns, bit for bit, what one link at a time
+        # gives, with links overlapping even on a one-core host
+        monkeypatch.setattr(fibersim, "usable_cores", lambda: 4)
         schemes = {
             "ess": build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236)),
             "bess": build_band_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 260),
