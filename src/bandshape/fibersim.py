@@ -15,6 +15,8 @@ receiver-side compensator applies the conjugate filter.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import os
 import random
@@ -22,7 +24,7 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.fft import fft, fftn, ifft, ifftn, fftfreq, next_fast_len
+from numpy.fft import fft, fftfreq, ifft
 
 from . import _kernels, pasmap
 from .codec import encode_index
@@ -32,6 +34,29 @@ from .trellis import Trellis, max_shaping_bits
 SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
 MIN_SNR_SYMBOLS = 1000  # the fewest symbols effective_snr takes as a stable estimate
+
+
+@functools.cache
+def _smooth_lengths(bits: int) -> tuple[int, ...]:
+    """Every 11-smooth integer up to 2**bits, ascending."""
+    limit = 1 << bits
+    smooth = [1]
+    for p in (2, 3, 5, 7, 11):
+        multiples = []
+        for x in smooth:
+            while x <= limit:
+                multiples.append(x)
+                x *= p
+        smooth = multiples
+    return tuple(sorted(smooth))
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (n >= 1), scipy.fft.next_fast_len's
+    rule for complex transforms: a length pocketfft factors into radices of
+    at most 11, off its slow large-prime path."""
+    smooth = _smooth_lengths((n - 1).bit_length())  # 2**bits >= n is smooth
+    return smooth[bisect.bisect_left(smooth, n)]
 
 
 def _require_finite(params) -> None:
@@ -174,10 +199,19 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     if samples.size == 0:
         raise ParameterError("waveform is empty")
     # the full linear convolution through one zero-padded FFT product, the
-    # steps and lengths of scipy.signal.fftconvolve, so the bits are its own
+    # steps and lengths of scipy.signal.fftconvolve, so the bits are its own.
+    # fftconvolve transforms the real taps as r2c plus the conjugate mirror,
+    # not as c2c of a complex copy (which differs in the last bit), so the
+    # taps' spectrum is built the same way here. np.fft is called directly:
+    # this padded length is not the span's, and the names fft and ifft are
+    # the span's transforms.
     size = samples.size + taps.size - 1
-    shape = (next_fast_len(size, False),)
-    full = ifftn(fftn(samples, shape) * fftn(taps, shape), shape)
+    n = next_fast_len(size)
+    half = np.fft.rfft(taps, n)
+    taps_spectrum = np.empty(n, dtype=complex)
+    taps_spectrum[:half.size] = half
+    taps_spectrum[half.size:] = half[n - half.size:0:-1].conj()
+    full = np.fft.ifft(np.fft.fft(samples, n) * taps_spectrum)
     return full[taps.size - 1:size:sps]
 
 
@@ -224,21 +258,24 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
             )
         return filters[key]
 
-    # u is this call's own copy, so every transform may overwrite it: one
-    # buffer carries the samples and spectra of the whole span
-    spectrum = fft(u, overwrite_x=True)
-    spectrum *= linear(steps[0] / 2)
-    u = ifft(spectrum, overwrite_x=True)
-    for m, dz in enumerate(steps):
-        _kernels.kerr_phase(u, gamma * dz)
-        tail = steps[m + 1] if m + 1 < len(steps) else None
-        spectrum = fft(u, overwrite_x=True)
-        spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
-        u = ifft(spectrum, overwrite_x=True)
-        if (m % 32 == 31 or tail is None) and not np.isfinite(u).all():
-            raise NumericalError(
-                f"non-finite samples after {sum(steps[: m + 1]):.3f} km"
-            )
+    # u is this call's own copy, so every transform writes into it: one
+    # buffer carries the samples and spectra of the whole span. numpy's
+    # transforms raise floating-point warnings that a non-finite sample would
+    # trip; the periodic check below reports that as a NumericalError.
+    with np.errstate(invalid="ignore", over="ignore"):
+        spectrum = fft(u, out=u)
+        spectrum *= linear(steps[0] / 2)
+        u = ifft(spectrum, out=spectrum)
+        for m, dz in enumerate(steps):
+            _kernels.kerr_phase(u, gamma * dz)
+            tail = steps[m + 1] if m + 1 < len(steps) else None
+            spectrum = fft(u, out=u)
+            spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
+            u = ifft(spectrum, out=spectrum)
+            if (m % 32 == 31 or tail is None) and not np.isfinite(u).all():
+                raise NumericalError(
+                    f"non-finite samples after {sum(steps[: m + 1]):.3f} km"
+                )
     return u
 
 

@@ -1,13 +1,14 @@
 import math
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, fftfreq
 
-from bandshape import _kernels, fibersim
+from bandshape import _kernels, cli, fibersim
 from bandshape.errors import NumericalError, ParameterError
 from bandshape.fibersim import (
     FiberParams,
@@ -151,6 +152,27 @@ class TestModulateDemodulate:
                               fftconvolve(noisy, taps, mode="full")[taps.size - 1::sps])
 
 
+class TestNextFastLen:
+    # perfbench derives the link's FFT length with scipy's next_fast_len and
+    # checks the traced length against it, so the two must agree exactly
+    def test_matches_scipy_up_to_2_pow_18(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        bad = [n for n in range(1, (1 << 18) + 1)
+               if fibersim.next_fast_len(n) != scipy_next_fast_len(n, False)]
+        assert bad == []
+
+    @pytest.mark.parametrize("sps", [4, 8, 16])
+    def test_matches_scipy_at_link_lengths(self, sps):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        defaults = cli._SIM_DEFAULTS
+        taps = defaults["filter_span"] * sps + 1
+        padded = (defaults["burst"] - 1) * sps + taps  # what run_link pads
+        for n in (padded, padded + taps - 1):  # the span, then demodulate
+            assert fibersim.next_fast_len(n) == scipy_next_fast_len(n, False)
+
+
 class TestSsfm:
     def test_dispersion_only_matches_analytic(self):
         fiber = FiberParams(0.0, 17.0, 0.0, 80.0)
@@ -202,6 +224,18 @@ class TestSsfm:
         wf[17] = np.inf
         with pytest.raises(NumericalError):
             ssfm_span(wf, RATE, fiber, step_km=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_mid_waveform_aborts(self, bad):
+        # numpy's transforms warn on non-finite values; the span must report
+        # them as its own error, not as a RuntimeWarning
+        fiber = FiberParams(0.2, 17.0, 1.3, 10.0)
+        wf = random_qam_waveform(seed=9)
+        wf[wf.size // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite samples"):
+                ssfm_span(wf, RATE, fiber, step_km=1.0)
 
     def test_zero_length_identity(self):
         fiber = FiberParams(0.2, 17.0, 1.3, 0.0)
@@ -447,6 +481,27 @@ class TestRunSweep:
                       link=small_link(), fiber=SPAN_FIBER)
         assert {0.0, 1.0} <= set(calls)
         assert len(calls) < len(powers) // 2
+
+    def test_numerical_error_leaves_the_worker_thread(self, monkeypatch):
+        # a -inf launched into one link's span surfaces from its pool thread
+        # as the span's NumericalError, not as the transforms' RuntimeWarning
+        scale = fibersim._scale_to_power
+
+        def poisoned(samples, power_dbm):
+            out = scale(samples, power_dbm)
+            if power_dbm == 4.0:
+                out[out.size // 2] = -np.inf
+            return out
+
+        monkeypatch.setattr(fibersim, "_scale_to_power", poisoned)
+        monkeypatch.setattr(fibersim, "usable_cores", lambda: 2)
+        trellis = build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236))
+        link = small_link(burst_symbols=2048, guard_symbols=128, step_km=41.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite samples"):
+                run_sweep({"ess": trellis}, powers=[0.0, 4.0], seeds=1,
+                          link=link, fiber=SPAN_FIBER)
 
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_empty_seed_sweep_rejected(self, seeds):

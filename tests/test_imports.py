@@ -23,7 +23,10 @@ def test_pure_layers_import_no_numpy():
         "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)") == "[]"
 
 
-def test_cli_imports_no_scipy_signal():
-    # pulse shaping and the matched filter use scipy.fft only; scipy.signal
-    # alone would add about 50 MB and most of a second to every process
-    assert _fresh_print("import bandshape.cli", "'scipy.signal' in sys.modules") == "False"
+def test_cli_imports_no_scipy():
+    # the simulator's transforms are numpy.fft's; scipy is a test and
+    # benchmark oracle only, and importing scipy.fft alone would add about
+    # 25 MB and a third of a second to every process
+    assert _fresh_print(
+        "import bandshape.cli, bandshape.metrics",
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
