@@ -260,8 +260,8 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
 
     # u is this call's own copy, so every transform writes into it: one
     # buffer carries the samples and spectra of the whole span. numpy's
-    # transforms raise floating-point warnings that a non-finite sample would
-    # trip; the periodic check below reports that as a NumericalError.
+    # transforms warn on a non-finite sample; the periodic check below
+    # reports it as a NumericalError instead.
     with np.errstate(invalid="ignore", over="ignore"):
         spectrum = fft(u, out=u)
         spectrum *= linear(steps[0] / 2)

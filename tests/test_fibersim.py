@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, fftfreq
+from scipy.fft import next_fast_len as scipy_next_fast_len
 
 from bandshape import _kernels, cli, fibersim
 from bandshape.errors import NumericalError, ParameterError
@@ -156,16 +157,12 @@ class TestNextFastLen:
     # perfbench derives the link's FFT length with scipy's next_fast_len and
     # checks the traced length against it, so the two must agree exactly
     def test_matches_scipy_up_to_2_pow_18(self):
-        from scipy.fft import next_fast_len as scipy_next_fast_len
-
         bad = [n for n in range(1, (1 << 18) + 1)
                if fibersim.next_fast_len(n) != scipy_next_fast_len(n, False)]
         assert bad == []
 
     @pytest.mark.parametrize("sps", [4, 8, 16])
     def test_matches_scipy_at_link_lengths(self, sps):
-        from scipy.fft import next_fast_len as scipy_next_fast_len
-
         defaults = cli._SIM_DEFAULTS
         taps = defaults["filter_span"] * sps + 1
         padded = (defaults["burst"] - 1) * sps + taps  # what run_link pads
