@@ -194,17 +194,19 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     The delay, taps.size - 1 samples, is that of pulse shaping with taps
     plus this matched filter. Returns every complete symbol from there on;
     callers slice to the count they sent.
+
+    The full linear convolution is one zero-padded FFT product with the
+    steps and lengths of scipy.signal.fftconvolve, and the bits are its
+    own. That needs the taps' spectrum built as scipy transforms a real
+    array, an r2c half spectrum plus its conjugate mirror: numpy's c2c of
+    a complex copy differs in the last bit.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.size == 0:
         raise ParameterError("waveform is empty")
-    # the full linear convolution through one zero-padded FFT product, the
-    # steps and lengths of scipy.signal.fftconvolve, so the bits are its own.
-    # fftconvolve transforms the real taps as r2c plus the conjugate mirror,
-    # not as c2c of a complex copy (which differs in the last bit), so the
-    # taps' spectrum is built the same way here. np.fft is called directly:
-    # this padded length is not the span's, and the names fft and ifft are
-    # the span's transforms.
+    # np.fft, not this module's fft and ifft: those names are the span's
+    # transforms, which a tracer counts and sizes, and this length is not
+    # the span's
     size = samples.size + taps.size - 1
     n = next_fast_len(size)
     half = np.fft.rfft(taps, n)
