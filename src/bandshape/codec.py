@@ -13,6 +13,7 @@ bit-string order.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from .errors import (
@@ -52,7 +53,10 @@ def encode_index(trellis: Trellis, index: int) -> tuple[int, ...]:
 
 def decode_index(trellis: Trellis, seq) -> int:
     """Inverse of encode_index: sums the counts of all smaller branches."""
-    values = tuple(int(v) for v in seq)
+    try:  # never truncated from a float (numpy integers pass)
+        values = tuple(map(operator.index, seq))
+    except TypeError:
+        raise InvalidSequenceError(f"amplitudes must be integers, got {seq!r}") from None
     n_len = trellis.params.n_amplitudes
     if len(values) != n_len:
         raise InvalidSequenceError(f"expected {n_len} amplitudes, got {len(values)}")

@@ -22,6 +22,7 @@ from .trellis import (
     BandParams,
     Trellis,
     TrellisParams,
+    _integer,
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
@@ -133,7 +134,7 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
 def windowed_energy_deviation(seq, window_len: int):
     """Sliding-window (stride 1) energy sums and their population deviation;
     at window_len 1, the squared amplitudes and their standard deviation."""
-    values = tuple(int(v) for v in seq)
+    values = tuple(_integer(v, "amplitude") for v in seq)
     if not 1 <= window_len <= len(values):
         raise ParameterError(
             f"window_len must be in [1, {len(values)}], got {window_len}"

@@ -126,7 +126,7 @@ class Trellis:
         self.band = band
         self._back = tuple(back)
         self._fwd = tuple(fwd)
-        self._levels = tuple(tuple(sorted(col)) for col in back)
+        self._levels = tuple(tuple(col) for col in back)
 
     def levels(self, n: int) -> tuple[int, ...]:
         return self._levels[n]
@@ -209,40 +209,61 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
         yield (lo - m * min_sq) // 8, hi if hi < top else top
 
 
-def _forward(windows, width: int, shifts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Packed paths-from-origin counts per column, as (base, column) pairs.
+def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int, int]]:
+    """Packed per-column values of the paths from the origin, as (base, column)
+    pairs: path counts with op = operator.add at W bits per level (see _packing),
+    reachability with op = operator.or_ at 1 bit per level.
 
-    Each step adds one shifted copy of the column per amplitude (the step
+    Each step combines one shifted copy of the column per amplitude (the step
     polynomial is sparse, so this beats a big-integer multiply), then cuts
     the column to its admitted levels; base is the level held in the lowest
-    W bits, and never drops. A copy that would land wholly above hi is
-    never made, so the sum reaches at most twice as far above base as hi
-    does, however large a_max is. The list ends before the first empty
-    column.
+    W bits, and never drops. The first copy is the column itself (a_min's
+    shift is 0). A copy that would land wholly above hi is never made, so
+    the result reaches at most twice as far above base as hi does, however
+    large a_max is. The list ends before the first empty column.
     """
     col, base = 1, 0
     cols = [(base, col)]
-    masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
+    rest = shifts[1:]
     for lo, hi in windows:
-        nxt, limit = 0, width * (hi - base)
-        for s in shifts:  # ascending, so every later copy lands higher still
+        nxt, limit = col, width * (hi - base)
+        for s in rest:  # ascending, so every later copy lands higher still
             if s > limit:
                 break
-            nxt += col << s
+            nxt = op(nxt, col << s)
         col = nxt
         if lo > base:
             col >>= width * (lo - base)
             base = lo
         if hi < base:
             break
-        span = hi - base + 1
-        if span not in masks:
-            masks[span] = (1 << (width * span)) - 1
-        col &= masks[span]
+        col &= (1 << (width * (hi - base + 1))) - 1
         if not col:
             break
         cols.append((base, col))
     return cols
+
+
+def _backward(windows, cols, width: int, shifts: tuple[int, ...], op) -> list[int]:
+    """Packed per-column values of the paths to the final column, on the
+    forward pass's bases (no lower level is reached from the origin).
+
+    The steps of _forward undone with right shifts, from a 1 at every
+    admitted level of the final column; windows include column 0's (0, 0).
+    """
+    spans = [hi - base + 1 for (_, hi), (base, _) in zip(windows, cols)]
+    col = ((1 << (width * spans[-1])) - 1) // ((1 << width) - 1)
+    back_cols = [col]
+    rest = shifts[1:]
+    for m in range(len(cols) - 2, -1, -1):
+        col <<= width * (cols[m + 1][0] - cols[m][0])
+        nxt = col
+        for s in rest:
+            nxt = op(nxt, col >> s)
+        col = nxt & ((1 << (width * spans[m])) - 1)
+        back_cols.append(col)
+    back_cols.reverse()
+    return back_cols
 
 
 def _count_only(params: TrellisParams, band: BandParams | None) -> int:
@@ -251,68 +272,63 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     The last column of the forward pass, summed over its levels (see _packing).
     """
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
-    cols = _forward(_level_windows(params, band), width, shifts)
+    cols = _forward(_level_windows(params, band), width, shifts, operator.add)
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
 
 
-def _build(params: TrellisParams, band: BandParams | None,
-           max_nodes: int | None = None) -> Trellis:
-    """Both packed passes, then every node whose two counts are nonzero.
+def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, int]]:
+    """Per column, (base, mask): bit g of mask is set where level base + g
+    is a node, a level that a path from the origin reaches and leaves for
+    the final column.
 
-    The backward pass undoes the forward steps with right shifts, from a 1
-    at every admitted level of the final column, on the forward pass's
-    bases (no lower level holds a forward count). The forward counts need
-    no pruning: every parent of a node that reaches the final column
-    reaches it too. With max_nodes (the node lines of a file being loaded),
-    the nodes are counted on the packed columns first, and more than
-    max_nodes raise TrellisFormatError before any level is unpacked.
+    Both passes run at 1 bit per level with OR in place of +, so they cost
+    W times less than the packed count passes, and a node is exactly a
+    level whose forward and backward counts are both nonzero.
     """
-    n_len = params.n_amplitudes
-    width, shifts = _packing(n_len, params.alphabet)
+    n_len, squares = params.n_amplitudes, params.alphabet.squares
+    offsets = tuple((s - squares[0]) // 8 for s in squares)
     windows = [(0, 0), *_level_windows(params, band)]
-    fwd_cols = _forward(windows[1:], width, shifts)
-    if len(fwd_cols) <= n_len:
+    reach = _forward(windows[1:], 1, offsets, operator.or_)
+    if len(reach) <= n_len:
         raise EmptyCodebookError(
-            f"no admissible node at column {len(fwd_cols)}; band too narrow"
+            f"no admissible node at column {len(reach)}; band too narrow"
         )
-    spans = [hi - base + 1 for (_, hi), (base, _) in zip(windows, fwd_cols)]
-    col = ((1 << (width * spans[-1])) - 1) // ((1 << width) - 1)
-    back_cols = [col]
-    for m in range(n_len - 1, -1, -1):
-        col <<= width * (fwd_cols[m + 1][0] - fwd_cols[m][0])
-        nxt = 0
-        for s in shifts:
-            nxt += col >> s
-        col = nxt & ((1 << (width * spans[m])) - 1)
-        back_cols.append(col)
-    back_cols.reverse()
+    leave = _backward(windows, reach, 1, offsets, operator.or_)
+    return [(base, mask & out) for (base, mask), out in zip(reach, leave)]
 
-    if max_nodes is not None:
-        # no count sets its level's top bit (see _packing), so adding
-        # 2**(W-1) - 1 at every level sets that bit where the count is nonzero
-        high = ((1 << (width * max(spans))) - 1) // ((1 << width) - 1) << (width - 1)
-        fill = high - (high >> (width - 1))
-        nodes = sum(((f + fill) & high & (b + fill)).bit_count()
-                    for (_, f), b in zip(fwd_cols, back_cols))
-        if nodes > max_nodes:
-            raise TrellisFormatError(
-                f"the header defines over {max_nodes} nodes, "
-                f"more than the file has node lines for"
-            )
+
+def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
+    """The nodes of _nodes with their counts from both packed passes.
+
+    Each column is unpacked one run of adjacent nodes at a time, so a load
+    visits the levels its file holds and skips the gaps between them. The
+    forward counts need no pruning: every parent of a node that reaches
+    the final column reaches it too.
+    """
+    nodes = _nodes(params, band)
+    width, shifts = _packing(params.n_amplitudes, params.alphabet)
+    windows = [(0, 0), *_level_windows(params, band)]
+    fwd_cols = _forward(windows[1:], width, shifts, operator.add)
+    back_cols = _backward(windows, fwd_cols, width, shifts, operator.add)
     size, min_sq = width // 8, params.alphabet.squares[0]
     back: list[dict[int, int]] = []
     fwd: list[dict[int, int]] = []
-    for m, ((base, f_col), b_col, span) in enumerate(zip(fwd_cols, back_cols, spans)):
-        f_raw, b_raw = (c.to_bytes(span * size, "little") for c in (f_col, b_col))
-        back.append({})
-        fwd.append({})
-        e = m * min_sq + 8 * base
-        for at in range(0, span * size, size):
-            b = int.from_bytes(b_raw[at:at + size], "little")
-            f = int.from_bytes(f_raw[at:at + size], "little")
-            if b and f:
-                back[m][e], fwd[m][e] = b, f
-            e += 8
+    for m, ((base, mask), (_, f_col), b_col, (_, hi)) in enumerate(
+            zip(nodes, fwd_cols, back_cols, windows)):
+        f_raw, b_raw = (c.to_bytes((hi - base + 1) * size, "little") for c in (f_col, b_col))
+        b_nodes, f_nodes = {}, {}
+        bits = format(mask, "b")[::-1] + "0"  # bit g of mask at index g, then a stop
+        start = bits.find("1")
+        while start >= 0:
+            stop = bits.find("0", start)
+            e = m * min_sq + 8 * (base + start)
+            for at in range(start * size, stop * size, size):
+                b_nodes[e] = int.from_bytes(b_raw[at:at + size], "little")
+                f_nodes[e] = int.from_bytes(f_raw[at:at + size], "little")
+                e += 8
+            start = bits.find("1", stop)
+        back.append(b_nodes)
+        fwd.append(f_nodes)
     return Trellis(params, band, back, fwd)
 
 
@@ -476,9 +492,16 @@ def deserialize(data: str | bytes) -> Trellis:
             f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
         )
     try:
-        trellis = _build(params, band, max_nodes=len(lines) - 3)
+        nodes = sum(mask.bit_count() for _, mask in _nodes(params, band))
     except (EmptyCodebookError, ParameterError) as exc:
         raise TrellisFormatError(f"header defines no trellis: {exc}") from exc
+    # a valid file has exactly one line per node
+    if nodes > len(lines) - 3:
+        raise TrellisFormatError(
+            f"the header defines over {len(lines) - 3} nodes, "
+            f"more than the file has node lines for"
+        )
+    trellis = _build(params, band)
     for number, (got, want) in enumerate(zip_longest(lines, _lines(trellis)), 1):
         if got != want:
             raise TrellisFormatError(

@@ -96,6 +96,8 @@ class TestDecodeIndex:
     def test_symbol_outside_alphabet(self, toy):
         with pytest.raises(InvalidSequenceError):
             decode_index(toy, (1, 2, 1))
+        with pytest.raises(InvalidSequenceError, match="integers"):
+            decode_index(toy, (3.9, 1.2, 3.7))  # not read as (3, 1, 3), index 7
 
     def test_wrong_length(self, toy):
         with pytest.raises(InvalidSequenceError):

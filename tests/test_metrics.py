@@ -184,6 +184,8 @@ class TestWindowedEnergyDeviation:
     def test_bad_window(self):
         with pytest.raises(ParameterError):
             windowed_energy_deviation((1, 1), 3)
+        with pytest.raises(ParameterError, match="integer"):
+            windowed_energy_deviation((1.5, 2.5), 1)  # not read as (1, 2)
 
 
 class TestCompareDb:

@@ -21,6 +21,7 @@ from bandshape.trellis import (
     _build,
     _count_only,
     _level_windows,
+    _nodes,
     build_band_trellis,
     build_full_trellis,
     deserialize,
@@ -533,6 +534,23 @@ class TestNodeTable:
         else:
             assert table(t) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(count_cases(max_n=6))
+    def test_node_masks_match_enumeration(self, case):
+        # the one node test: reached from the origin and left for the final column
+        params, band = case
+        want = node_table(params.n_amplitudes, params.alphabet.amplitudes, params.e_max,
+                          band and (band.height, band.width))
+        if not any(want):
+            for make in (_nodes, _build):
+                with pytest.raises(EmptyCodebookError):
+                    make(params, band)
+            return
+        min_sq = params.alphabet.squares[0]
+        got = [[m * min_sq + 8 * (base + g) for g in range(mask.bit_length()) if mask >> g & 1]
+               for m, (base, mask) in enumerate(_nodes(params, band))]
+        assert got == [[e for e, _, _ in column] for column in want]
+
 
 class TestParseText:
     def test_alphabet(self):
@@ -644,7 +662,7 @@ class TestSerialization:
             deserialize(text)
 
     def test_node_cap_stops_rebuild(self):
-        # 24 lines whose header defines 246,431 nodes: unpacking stops at 21
+        # 24 lines whose header defines 246,431 nodes: no packed pass runs
         amps = ",".join(str(a) for a in range(1, 100, 2))
         lines = ["ESSTRELLIS v1", f"N=20 ALPHABET={amps} EMAX=196020 BAND=none"]
         lines += ["0 0 1 1"] * 21 + ["END 1"]
@@ -671,6 +689,30 @@ class TestSerialization:
         with pytest.raises(TrellisFormatError, match="over 4 nodes"):
             deserialize(text)
         assert time.perf_counter() - start < 1.0
+
+    def test_dense_alphabet_counts_nodes_before_packed_passes(self):
+        # a 732-byte file whose header defines 4.0 million nodes over 100 letters
+        amps = ",".join(str(a) for a in range(1, 200, 2))
+        text = (f"ESSTRELLIS v1\nN=40 ALPHABET={amps} EMAX={40 * 199**2} BAND=none\n"
+                + "0 0 1 1\n" * 42)
+        start = time.perf_counter()
+        with pytest.raises(TrellisFormatError, match="over 41 nodes"):
+            deserialize(text)
+        assert time.perf_counter() - start < 0.5
+        assert rejection_peak(text, "over 41 nodes") < 50 << 20
+
+    def test_sparse_alphabet_round_trip(self):
+        # 10 nodes spread over windows of up to 9.4 million levels
+        params = TrellisParams(3, Alphabet((1, 4999)), 74970003)
+        start = time.perf_counter()
+        t = build_full_trellis(params)
+        assert time.perf_counter() - start < 1.0
+        text = serialize(t)
+        start = time.perf_counter()
+        u = deserialize(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(text) == 186 and t.num_sequences == 8
+        assert table(u) == table(t)
 
     def test_header_without_codebook(self):
         # an empty band and a band wider than N: valid tables, impossible headers
