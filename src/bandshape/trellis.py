@@ -225,6 +225,7 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
     col, base = 1, 0
     cols = [(base, col)]
     rest = shifts[1:]
+    masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
     for lo, hi in windows:
         nxt, limit = col, width * (hi - base)
         for s in rest:  # ascending, so every later copy lands higher still
@@ -237,7 +238,10 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
             base = lo
         if hi < base:
             break
-        col &= (1 << (width * (hi - base + 1))) - 1
+        span = hi - base + 1
+        if span not in masks:
+            masks[span] = (1 << (width * span)) - 1
+        col &= masks[span]
         if not col:
             break
         cols.append((base, col))
