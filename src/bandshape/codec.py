@@ -23,11 +23,12 @@ from .errors import (
     OutOfCodebookError,
     ParameterError,
 )
-from .trellis import Trellis, max_shaping_bits
+from .trellis import Trellis, _integer, max_shaping_bits
 
 
 def encode_index(trellis: Trellis, index: int) -> tuple[int, ...]:
     """Sequence at position `index` in lexicographic order (0-based)."""
+    index = _integer(index, "index")
     total = trellis.num_sequences
     if not 0 <= index < total:
         raise IndexRangeError(f"index {index} outside [0, {total})")
@@ -118,7 +119,7 @@ def whole_blocks(k: int, n_bytes: int) -> int:
 
     Raises FramingError when bits are left over (k = 0: any byte at all).
     """
-    n_bits = 8 * n_bytes
+    k, n_bits = _integer(k, "k"), 8 * _integer(n_bytes, "n_bytes")
     blocks = n_bits // k if k else 0
     trailing = n_bits - blocks * k
     if trailing:

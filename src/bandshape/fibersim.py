@@ -29,7 +29,7 @@ from numpy.fft import fft, fftfreq, ifft
 from . import _kernels, pasmap
 from .codec import encode_index
 from .errors import NumericalError, ParameterError
-from .trellis import Trellis, max_shaping_bits
+from .trellis import Trellis, _integer, max_shaping_bits
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 PLANCK = 6.62607015e-34  # J*s
@@ -112,6 +112,8 @@ class LinkParams:
 
     def __post_init__(self):
         _require_finite(self)
+        for name in ("sps", "seed", "burst_symbols", "filter_span_symbols", "guard_symbols"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.baud_rate_gbd <= 0:
             raise ParameterError("baud rate must be positive")
         if not 0 < self.rrc_rolloff <= 1:
@@ -419,6 +421,7 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     links not yet started are cancelled and the error of the first failed
     link in (scheme, seed, power) order propagates.
     """
+    seeds = _integer(seeds, "seeds")
     if seeds < 1:
         raise ParameterError(f"seed sweep needs at least one seed, got {seeds}")
     jobs = []

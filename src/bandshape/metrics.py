@@ -95,6 +95,7 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
     more encodes than asked for. Otherwise Monte Carlo over num_samples
     indices from a seeded uniform stream.
     """
+    num_samples, seed = _integer(num_samples, "num_samples"), _integer(seed, "seed")
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     k = max_shaping_bits(trellis)
@@ -135,6 +136,7 @@ def windowed_energy_deviation(seq, window_len: int):
     """Sliding-window (stride 1) energy sums and their population deviation;
     at window_len 1, the squared amplitudes and their standard deviation."""
     values = tuple(_integer(v, "amplitude") for v in seq)
+    window_len = _integer(window_len, "window_len")
     if not 1 <= window_len <= len(values):
         raise ParameterError(
             f"window_len must be in [1, {len(values)}], got {window_len}"

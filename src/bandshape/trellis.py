@@ -370,6 +370,7 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     e_max, the windows of height h nest inside those of height h+1 (see
     find_band_operating_point).
     """
+    n_amplitudes, k = _integer(n_amplitudes, "n_amplitudes"), _integer(k, "k")
     if k < 0:
         raise ParameterError("k must be >= 0")
     squares = alphabet.squares
@@ -442,35 +443,6 @@ def parse_band(text: str) -> BandParams:
     return BandParams(h, w)
 
 
-def _parse_params_line(line: str):
-    fields = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        if not value:
-            raise TrellisFormatError(f"bad parameter token {token!r}")
-        fields[key] = value
-    try:
-        n = int(fields["N"])
-        alphabet = parse_alphabet(fields["ALPHABET"])
-        e_max = int(fields["EMAX"])
-        band_txt = fields["BAND"]
-    except (KeyError, ValueError) as exc:  # ParameterError is a ValueError
-        raise TrellisFormatError(f"bad parameter line: {line!r}") from exc
-    band = None
-    if band_txt != "none":
-        try:
-            band = parse_band(band_txt)
-        except ParameterError as exc:
-            raise TrellisFormatError(f"bad band spec {band_txt!r}") from exc
-    try:
-        params = TrellisParams(n, alphabet, e_max)
-    except ParameterError as exc:
-        raise TrellisFormatError(str(exc)) from exc
-    if params.e_max != e_max:
-        raise TrellisFormatError(f"EMAX={e_max} is not on the energy grid")
-    return params, band
-
-
 def deserialize(data: str | bytes) -> Trellis:
     """Load a serialized trellis by rebuilding it from its own header.
 
@@ -489,16 +461,19 @@ def deserialize(data: str | bytes) -> Trellis:
         raise TrellisFormatError(f"unsupported header {got!r}, expected {_MAGIC!r}")
     if len(lines) < 2:
         raise TrellisFormatError("truncated stream")
-    params, band = _parse_params_line(lines[1])
-    # at least one node line per column: a short file cannot ask for a big build
-    if len(lines) < params.n_amplitudes + 4:
-        raise TrellisFormatError(
-            f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
-        )
     try:
+        fields = dict(field.partition("=")[::2] for field in lines[1].split())
+        params = TrellisParams(int(fields["N"]), parse_alphabet(fields["ALPHABET"]),
+                               int(fields["EMAX"]))
+        band = None if fields["BAND"] == "none" else parse_band(fields["BAND"])
+        # at least one node line per column: a short file cannot ask for a big build
+        if len(lines) < params.n_amplitudes + 4:
+            raise TrellisFormatError(
+                f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
+            )
         nodes = sum(mask.bit_count() for _, mask in _nodes(params, band))
-    except (EmptyCodebookError, ParameterError) as exc:
-        raise TrellisFormatError(f"header defines no trellis: {exc}") from exc
+    except (KeyError, ValueError, EmptyCodebookError) as exc:  # ParameterError is a ValueError
+        raise TrellisFormatError(f"line 2 {lines[1]!r} defines no trellis: {exc!r}") from exc
     # a valid file has exactly one line per node
     if nodes > len(lines) - 3:
         raise TrellisFormatError(

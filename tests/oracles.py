@@ -1,11 +1,15 @@
 """Brute-force reference implementations used as test oracles.
 
 Everything here enumerates sequences directly over the alphabet product and
-applies membership rules position by position. None of it touches the
-dynamic-programming code under test. The bit packers move one bit at a
-time, independently of the codec's binary-string slicing. The split-step
-references keep the plain numpy expressions and the out-of-place transforms
-that the in-place propagator must reproduce bit for bit.
+applies membership rules position by position, and none of it touches the
+dynamic-programming code under test, with one exception: `min_emax_scan`
+counts each grid point with `trellis._count_only`, so it checks only the
+band search's scan around those counts. The e_max search is checked
+against enumeration by `TestMinEmax.test_matches_bruteforce_scan`. The
+bit packers move one bit at a time, independently of the codec's
+binary-string slicing. The split-step references keep the plain numpy
+expressions and the out-of-place transforms that the in-place propagator
+must reproduce bit for bit.
 """
 
 import itertools

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bandshape.codec import (
@@ -6,6 +7,7 @@ from bandshape.codec import (
     encode_index,
     shape,
     shape_stream,
+    whole_blocks,
 )
 from bandshape.errors import (
     FramingError,
@@ -57,6 +59,9 @@ class TestEncodeIndex:
             encode_index(toy, 11)
         with pytest.raises(IndexRangeError):
             encode_index(toy, -1)
+        with pytest.raises(ParameterError, match="integer"):
+            encode_index(toy, 2.5)  # not read as index 2
+        assert encode_index(toy, np.int64(7)) == (3, 1, 3)
 
     def test_order_matches_enumeration(self, toy):
         want = enumerate_sequences(3, (1, 3, 5), 27)
@@ -129,6 +134,11 @@ class TestShapeDeshape:
         # a block is the value of k bits, so it is never negative
         with pytest.raises(ParameterError):
             shape(toy, -1)
+        with pytest.raises(ParameterError, match="integer"):
+            shape(toy, 2.5)
+        with pytest.raises(ParameterError, match="integer"):
+            whole_blocks(2.5, 5)  # not 16.0 blocks
+        assert shape(toy, np.int64(7)) == (3, 1, 3) and whole_blocks(np.int64(5), 5) == 8
 
 
 class TestShapeStream:

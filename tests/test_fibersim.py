@@ -506,6 +506,9 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match="at least one seed"):
             run_sweep({"ess": trellis}, powers=[0.0], seeds=seeds,
                       link=small_link(), fiber=SPAN_FIBER)
+        with pytest.raises(ParameterError, match="seeds must be an integer"):
+            run_sweep({"ess": trellis}, powers=[0.0], seeds=2.0,
+                      link=small_link(), fiber=SPAN_FIBER)
 
 
 class TestShapingInvariance:
@@ -555,6 +558,10 @@ class TestParamValidation:
         for span in (7, 6):  # rrc_taps's rule, checked before any rail is encoded
             with pytest.raises(ParameterError, match="filter span must be even"):
                 small_link(filter_span_symbols=span)
+        for field in ("sps", "seed", "burst_symbols", "filter_span_symbols", "guard_symbols"):
+            with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+                small_link(**{field: float(getattr(small_link(), field))})
+        assert type(small_link(sps=np.int64(8)).sps) is int
 
     def test_fiber_invariants(self):
         with pytest.raises(ParameterError):

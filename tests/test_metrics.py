@@ -124,6 +124,9 @@ class TestSampledMetrics:
             assert (m.num_samples, m.exhaustive) == (8, True)
         with pytest.raises(ParameterError):
             sampled_metrics(toy, num_samples=0, seed=0)
+        with pytest.raises(ParameterError, match="integer"):
+            sampled_metrics(toy, num_samples=20.0, seed=0)
+        assert sampled_metrics(toy, num_samples=np.int64(8), seed=0).exhaustive
 
     def test_same_seed_identical(self):
         t = build_full_trellis(TrellisParams(6, A1357, 102))  # k = 10
@@ -186,6 +189,9 @@ class TestWindowedEnergyDeviation:
             windowed_energy_deviation((1, 1), 3)
         with pytest.raises(ParameterError, match="integer"):
             windowed_energy_deviation((1.5, 2.5), 1)  # not read as (1, 2)
+        with pytest.raises(ParameterError, match="integer"):
+            windowed_energy_deviation((1, 1), 1.5)
+        assert windowed_energy_deviation((1, 3), np.int64(2)) == ((10,), 0.0)
 
 
 class TestCompareDb:

@@ -315,6 +315,10 @@ class TestMinEmax:
 
     def test_trivial(self):
         assert min_emax_for_bits(2, Alphabet((1,)), 0) == 2
+        assert min_emax_for_bits(np.int64(2), Alphabet((1,)), np.int64(0)) == 2
+        for n, k in ((3.0, 0), (2, 2.0)):
+            with pytest.raises(ParameterError, match="integer"):
+                min_emax_for_bits(n, A135, k)
 
     def test_matches_bruteforce_scan(self):
         # (3, 5): packed levels are offsets from a_min**2, not from 1
@@ -575,6 +579,18 @@ class TestParseText:
             with pytest.raises(TrellisFormatError) as info:
                 deserialize(text.replace(old, new, 1))
             assert isinstance(info.value.__cause__, ParameterError)
+
+    @pytest.mark.parametrize("old, new", [
+        ("EMAX=27", "EMAX=28"),  # off the grid: snapped to 27, so line 2 differs
+        ("BAND=none", "BAND=none X=1"),
+        ("N=3", "N=3 N=3"),
+        ("N=3", "N"),
+        (" BAND=none", ""),
+    ])
+    def test_header_rejected(self, old, new):
+        # only N, ALPHABET, EMAX and BAND are read; the line compare decides the rest
+        with pytest.raises(TrellisFormatError, match="line 2"):
+            deserialize(serialize(toy_trellis()).replace(old, new, 1))
 
 
 def rejection_peak(text, match):
