@@ -394,8 +394,8 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
                 return e
             dist >>= width
             e += 8
-    if scan_from is None:
-        scan_from = min_emax_for_bits(n_amplitudes, alphabet, k)
+    scan_from = (min_emax_for_bits(n_amplitudes, alphabet, k) if scan_from is None
+                 else _integer(scan_from, "scan_from"))
     lo = max(lo, scan_from + (n_amplitudes - scan_from) % 8)
 
     for e_max in range(lo, hi + 1, 8):

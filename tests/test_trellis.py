@@ -319,6 +319,8 @@ class TestMinEmax:
         for n, k in ((3.0, 0), (2, 2.0)):
             with pytest.raises(ParameterError, match="integer"):
                 min_emax_for_bits(n, A135, k)
+        with pytest.raises(ParameterError, match="scan_from must be an integer"):
+            min_emax_for_bits(7, A1357, 3, BandParams(2, 1), scan_from=7.5)
 
     def test_matches_bruteforce_scan(self):
         # (3, 5): packed levels are offsets from a_min**2, not from 1
