@@ -119,7 +119,7 @@ def cmd_shape(args) -> int:
     whole_blocks(max_shaping_bits(trellis), len(payload))
     with open(args.out, "w", encoding="utf-8") as fh:
         def emit(seq: tuple[int, ...]) -> None:
-            fh.write(" ".join(str(v) for v in seq) + "\n")
+            fh.write(" ".join(map(str, seq)) + "\n")
 
         blocks = shape_stream(trellis, payload, emit)
     _log(f"shaped {blocks} blocks from {len(payload)} bytes")
@@ -140,7 +140,7 @@ def cmd_deshape(args) -> int:
         if not line:
             continue
         try:
-            seq = tuple(int(v) for v in line.split())
+            seq = tuple(map(int, line.split()))
             indices.append(deshape(trellis, seq))
         except (ValueError, BandshapeError) as exc:
             raise ParameterError(f"line {lineno}: {exc}") from exc

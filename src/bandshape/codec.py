@@ -32,15 +32,15 @@ def encode_index(trellis: Trellis, index: int) -> tuple[int, ...]:
     total = trellis.num_sequences
     if not 0 <= index < total:
         raise IndexRangeError(f"index {index} outside [0, {total})")
-    amps = trellis.params.alphabet.amplitudes
-    squares = trellis.params.alphabet.squares
+    alphabet = trellis.params.alphabet
+    steps = tuple(zip(alphabet.amplitudes, alphabet.squares))
     remainder = index
     energy = 0
     out = []
-    for n in range(trellis.params.n_amplitudes):
-        for a, s in zip(amps, squares):
-            count = trellis.back_count(n + 1, energy + s)
-            if count == 0:
+    for column in trellis.back_columns[1:]:
+        for a, s in steps:
+            count = column.get(energy + s)
+            if count is None:
                 continue
             if remainder < count:
                 out.append(a)
@@ -61,19 +61,19 @@ def decode_index(trellis: Trellis, seq) -> int:
     n_len = trellis.params.n_amplitudes
     if len(values) != n_len:
         raise InvalidSequenceError(f"expected {n_len} amplitudes, got {len(values)}")
-    amps = trellis.params.alphabet.amplitudes
-    squares = trellis.params.alphabet.squares
+    amps, squares = trellis.params.alphabet.amplitudes, trellis.params.alphabet.squares
+    # each amplitude's square, and the squares of the amplitudes below it
+    below = {a: (s, squares[:i]) for i, (a, s) in enumerate(zip(amps, squares))}
     index = 0
     energy = 0
-    for n, v in enumerate(values):
-        if v not in amps:
+    for n, (v, column) in enumerate(zip(values, trellis.back_columns[1:])):
+        if v not in below:
             raise InvalidSequenceError(f"amplitude {v} not in alphabet at position {n}")
-        for a, s in zip(amps, squares):
-            if a == v:
-                break
-            index += trellis.back_count(n + 1, energy + s)
-        energy += v * v
-        if not trellis.back_count(n + 1, energy):
+        square, smaller = below[v]
+        for s in smaller:
+            index += column.get(energy + s, 0)
+        energy += square
+        if energy not in column:
             raise InvalidSequenceError(
                 f"prefix {values[: n + 1]} leaves the trellis at column {n + 1}"
             )

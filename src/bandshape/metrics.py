@@ -71,15 +71,14 @@ def _metrics_from_occurrences(alphabet, occ, total) -> tuple:
 def exact_metrics(trellis: Trellis) -> ShapingMetrics:
     """Exact statistics over every sequence in the trellis."""
     amps = trellis.params.alphabet.amplitudes
-    squares = trellis.params.alphabet.squares
+    steps = tuple(zip(amps, trellis.params.alphabet.squares))
     n_len = trellis.params.n_amplitudes
     occ = {a: 0 for a in amps}
-    for n in range(n_len):
-        for e in trellis.levels(n):
-            paths_in = trellis.fwd_count(n, e)
-            for a, s in zip(amps, squares):
-                paths_out = trellis.back_count(n + 1, e + s)
-                if paths_out:
+    for fwd, back in zip(trellis.fwd_columns, trellis.back_columns[1:]):
+        for e, paths_in in fwd.items():
+            for a, s in steps:
+                paths_out = back.get(e + s)
+                if paths_out is not None:
                     occ[a] += paths_in * paths_out
     total = n_len * trellis.num_sequences
     p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(amps, occ, total)
@@ -100,6 +99,7 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
         raise ParameterError("num_samples must be >= 1")
     k = max_shaping_bits(trellis)
     amps = trellis.params.alphabet.amplitudes
+    steps = tuple(zip(amps, trellis.params.alphabet.squares))
     n_len = trellis.params.n_amplitudes
     exhaustive = (1 << k) <= num_samples
     if exhaustive:
@@ -113,9 +113,12 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
     sum_e2_sq = 0.0
     for i in indices:
         values = encode_index(trellis, i)
-        for a in amps:
-            occ[a] += values.count(a)
-        seq_e2 = sum(v * v for v in values) / n_len
+        energy = 0
+        for a, s in steps:
+            hits = values.count(a)
+            occ[a] += hits
+            energy += hits * s
+        seq_e2 = energy / n_len
         sum_e2 += seq_e2
         sum_e2_sq += seq_e2 * seq_e2
         count += 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 
 from .errors import (
@@ -54,7 +55,7 @@ class Alphabet:
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ParameterError(f"amplitudes must be strictly ascending: {amps}")
 
-    @property
+    @cached_property  # not a field: equality and hashing see amplitudes only
     def squares(self) -> tuple[int, ...]:
         return tuple(a * a for a in self.amplitudes)
 
@@ -115,31 +116,35 @@ class BandParams:
 class Trellis:
     """Immutable node set with backward and forward path counts.
 
-    back_count(n, e) is the number of ways to reach the final column from
-    (n, e); fwd_count(n, e) the number of ways to arrive at (n, e) from the
-    origin. Inactive nodes report 0 for both.
+    back_columns[n] maps the energy e of every node of column n, ascending,
+    to the number of ways to reach the final column from (n, e);
+    fwd_columns[n] maps it to the number of ways to arrive at (n, e) from
+    the origin. No other level has an entry. The codec and the metrics walk
+    these dicts directly, so both tuples and their dicts are read-only.
+    back_count and fwd_count are the same counts as point queries, which
+    report 0 for a level that is not a node.
     """
 
     def __init__(self, params: TrellisParams, band: BandParams | None,
                  back: list[dict[int, int]], fwd: list[dict[int, int]]):
         self.params = params
         self.band = band
-        self._back = tuple(back)
-        self._fwd = tuple(fwd)
+        self.back_columns = tuple(back)
+        self.fwd_columns = tuple(fwd)
         self._levels = tuple(tuple(col) for col in back)
 
     def levels(self, n: int) -> tuple[int, ...]:
         return self._levels[n]
 
     def back_count(self, n: int, e: int) -> int:
-        return self._back[n].get(e, 0)
+        return self.back_columns[n].get(e, 0)
 
     def fwd_count(self, n: int, e: int) -> int:
-        return self._fwd[n].get(e, 0)
+        return self.fwd_columns[n].get(e, 0)
 
     @property
     def num_sequences(self) -> int:
-        return self._back[0][0]
+        return self.back_columns[0][0]
 
     def __repr__(self):
         p = self.params

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from bandshape.trellis import (
     max_shaping_bits,
 )
 
-from oracles import bits_to_bytes, enumerate_sequences, index_to_bits
+from oracles import bits_to_bytes, enumerate_sequences, index_to_bits, node_table
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -187,3 +189,55 @@ class TestBijectivityGrid:
                 seen.add(seq)
                 assert decode_index(t, seq) == i
             assert len(seen) == t.num_sequences
+
+
+# Sparse alphabets leave gaps between the nodes of a column, where the
+# codec's column lookups find no entry: (n, alphabet, e_max, band).
+GAPPED = (
+    (7, (1, 7), 151, None),
+    (6, (1, 3, 9), 86, None),
+    (7, (1, 7), 199, (13, 1)),
+    (6, (1, 3, 9), 86, (8, 1)),
+)
+
+
+def _gapped_trellis(n, amps, e_max, band):
+    params = TrellisParams(n, Alphabet(amps), e_max)
+    if band is None:
+        return build_full_trellis(params)
+    return build_band_trellis(params, BandParams(*band))
+
+
+class TestGappedColumns:
+    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
+    def test_columns_have_gaps(self, n, amps, e_max, band):
+        table = node_table(n, amps, e_max, band)
+        assert any(b - a > 8 for column in table
+                   for (a, *_), (b, *_) in zip(column, column[1:]))
+
+    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
+    def test_encode_matches_enumeration(self, n, amps, e_max, band):
+        t = _gapped_trellis(n, amps, e_max, band)
+        want = enumerate_sequences(n, amps, e_max, band)
+        assert [encode_index(t, i) for i in range(t.num_sequences)] == want
+
+    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
+    def test_decode_round_trips_and_rejects_the_rest(self, n, amps, e_max, band):
+        t = _gapped_trellis(n, amps, e_max, band)
+        index = {seq: i for i, seq in enumerate(enumerate_sequences(n, amps, e_max, band))}
+        for seq in itertools.product(amps, repeat=n):
+            if seq in index:
+                assert decode_index(t, seq) == index[seq]
+            else:
+                with pytest.raises(InvalidSequenceError):
+                    decode_index(t, seq)
+
+    def test_prefix_between_nodes(self):
+        # column 4 holds energies 4, 20, 28 and 36; the prefix 1,1,1,3 lands
+        # on 12, a grid level inside the band window that no sequence crosses
+        n, amps, e_max, band = 6, (1, 3, 9), 86, (8, 1)
+        levels = [e for e, _, _ in node_table(n, amps, e_max, band)[4]]
+        assert levels[0] < 12 < levels[-1] and 12 not in levels
+        t = _gapped_trellis(n, amps, e_max, band)
+        with pytest.raises(InvalidSequenceError, match="column 4"):
+            decode_index(t, (1, 1, 1, 3, 1, 1))

@@ -31,7 +31,7 @@ from bandshape.trellis import (
 )
 from bandshape.codec import encode_index
 
-from oracles import enumerate_sequences, exact_moments, min_emax_scan
+from oracles import enumerate_sequences, exact_moments, min_emax_scan, sampled_moments
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -149,6 +149,18 @@ class TestSampledMetrics:
         est = sampled_metrics(t, num_samples=4000, seed=99)
         assert exact.exhaustive and not est.exhaustive
         assert abs(est.e2 - exact.e2) < 3 * est.se_e2
+
+
+    def test_monte_carlo_matches_oracle_exactly(self):
+        # 1,270 band sequences, k = 10: 500 draws stay below 2**k, so Monte Carlo
+        n, e_max, band = 8, 88, (6, 0)
+        t = build_band_trellis(TrellisParams(n, A1357, e_max), BandParams(*band))
+        k = max_shaping_bits(t)
+        m = sampled_metrics(t, num_samples=500, seed=3)
+        assert not m.exhaustive and k == 10
+        p, e2, e4, se_e2 = sampled_moments(
+            enumerate_sequences(n, (1, 3, 5, 7), e_max, band), (1, 3, 5, 7), k, 500, 3)
+        assert (m.p_amp, m.e2, m.e4, m.se_e2) == (p, e2, e4, se_e2)
 
 
 class TestSequenceEnergyStats:

@@ -71,6 +71,13 @@ class TestAlphabet:
         for a in Alphabet((1, 3, 5, 7, 9, 11)).amplitudes:
             assert (a * a) % 8 == 1
 
+    def test_squares_computed_once_and_not_compared(self):
+        a, b = Alphabet((1, 3, 5)), Alphabet((1, 3, 5))
+        assert a.squares == (1, 9, 25) and a.squares is a.squares
+        # a cached squares tuple changes neither equality, hashing nor repr
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert {a: 1}[b] == 1 and a != Alphabet((1, 3, 7))
+
 
 class TestParams:
     def test_emax_below_min_energy(self):
