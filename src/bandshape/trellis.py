@@ -24,7 +24,7 @@ from .errors import (
     TrellisFormatError,
 )
 
-_MAGIC = "ESSTRELLIS v1"
+_MAGIC = "ESSTRELLIS v2"
 
 
 def _integer(value, name: str) -> int:
@@ -121,20 +121,29 @@ class Trellis:
     fwd_columns[n] maps it to the number of ways to arrive at (n, e) from
     the origin. No other level has an entry. The codec and the metrics walk
     these dicts directly, so both tuples and their dicts are read-only.
+    Only the metrics read the forward counts, so fwd_columns is unpacked on
+    first use from the bytes the build cut out of its packed forward pass:
+    per column, each node's count in count_bytes little-endian bytes, in
+    the order of back_columns[n].
     back_count and fwd_count are the same counts as point queries, which
     report 0 for a level that is not a node.
     """
 
     def __init__(self, params: TrellisParams, band: BandParams | None,
-                 back: list[dict[int, int]], fwd: list[dict[int, int]]):
+                 back: list[dict[int, int]], fwd_bytes: list[bytes], count_bytes: int):
         self.params = params
         self.band = band
         self.back_columns = tuple(back)
-        self.fwd_columns = tuple(fwd)
-        self._levels = tuple(tuple(col) for col in back)
+        self._fwd_bytes = tuple(fwd_bytes)
+        self._count_bytes = count_bytes
+
+    @cached_property
+    def fwd_columns(self) -> tuple[dict[int, int], ...]:
+        return tuple(_unpack(back, raw, self._count_bytes)
+                     for back, raw in zip(self.back_columns, self._fwd_bytes))
 
     def levels(self, n: int) -> tuple[int, ...]:
-        return self._levels[n]
+        return tuple(self.back_columns[n])
 
     def back_count(self, n: int, e: int) -> int:
         return self.back_columns[n].get(e, 0)
@@ -306,39 +315,51 @@ def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, in
     return [(base, mask & out) for (base, mask), out in zip(reach, leave)]
 
 
-def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
-    """The nodes of _nodes with their counts from both packed passes.
+def _unpack(levels, raw: bytes, size: int) -> dict[int, int]:
+    """The i-th of levels mapped to the i-th size-byte little-endian count of raw."""
+    from_bytes = int.from_bytes  # one attribute lookup per column, not per node
+    return dict(zip(levels, [from_bytes(raw[at:at + size], "little")
+                             for at in range(0, len(raw), size)]))
 
-    Each column is unpacked one run of adjacent nodes at a time, so a load
-    visits the levels its file holds and skips the gaps between them. The
-    forward counts need no pruning: every parent of a node that reaches
-    the final column reaches it too.
+
+def _build(params: TrellisParams, band: BandParams | None,
+           nodes: list[tuple[int, int]] | None = None) -> Trellis:
+    """The nodes of _nodes (computed here unless given) with their counts
+    from both packed passes.
+
+    Each column's node counts are cut out of its packed values one run of
+    adjacent nodes at a time, so a load visits the levels its file holds
+    and skips the gaps between them. The backward counts are unpacked now;
+    the forward counts stay as those bytes until the metrics ask for them
+    (Trellis.fwd_columns). They need no pruning: every parent of a node
+    that reaches the final column reaches it too.
     """
-    nodes = _nodes(params, band)
+    if nodes is None:
+        nodes = _nodes(params, band)
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     windows = [(0, 0), *_level_windows(params, band)]
     fwd_cols = _forward(windows[1:], width, shifts, operator.add)
     back_cols = _backward(windows, fwd_cols, width, shifts, operator.add)
     size, min_sq = width // 8, params.alphabet.squares[0]
     back: list[dict[int, int]] = []
-    fwd: list[dict[int, int]] = []
+    fwd_bytes: list[bytes] = []
     for m, ((base, mask), (_, f_col), b_col, (_, hi)) in enumerate(
             zip(nodes, fwd_cols, back_cols, windows)):
-        f_raw, b_raw = (c.to_bytes((hi - base + 1) * size, "little") for c in (f_col, b_col))
-        b_nodes, f_nodes = {}, {}
+        levels: list[int] = []
+        spans = []  # each run's bytes in the to_bytes of a packed column
+        e0 = m * min_sq + 8 * base
         bits = format(mask, "b")[::-1] + "0"  # bit g of mask at index g, then a stop
         start = bits.find("1")
         while start >= 0:
             stop = bits.find("0", start)
-            e = m * min_sq + 8 * (base + start)
-            for at in range(start * size, stop * size, size):
-                b_nodes[e] = int.from_bytes(b_raw[at:at + size], "little")
-                f_nodes[e] = int.from_bytes(f_raw[at:at + size], "little")
-                e += 8
+            levels += range(e0 + 8 * start, e0 + 8 * stop, 8)
+            spans.append(slice(start * size, stop * size))
             start = bits.find("1", stop)
-        back.append(b_nodes)
-        fwd.append(f_nodes)
-    return Trellis(params, band, back, fwd)
+        b_raw = b_col.to_bytes((hi - base + 1) * size, "little")
+        f_raw = f_col.to_bytes(len(b_raw), "little")
+        back.append(_unpack(levels, b"".join([b_raw[s] for s in spans]), size))
+        fwd_bytes.append(b"".join([f_raw[s] for s in spans]))
+    return Trellis(params, band, back, fwd_bytes, size)
 
 
 def build_full_trellis(params: TrellisParams) -> Trellis:
@@ -413,16 +434,17 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
 
 def _lines(trellis: Trellis):
     """The file format, one line at a time: magic, parameter line, one
-    `n e T F` line per node, and an END line repeating the total count."""
+    `n e T` line per node, and an END line repeating the total count."""
     p = trellis.params
     band = trellis.band
     alphabet = ",".join(str(a) for a in p.alphabet.amplitudes)
     band_txt = f"{band.height},{band.width}" if band else "none"
     yield _MAGIC
     yield f"N={p.n_amplitudes} ALPHABET={alphabet} EMAX={p.e_max} BAND={band_txt}"
-    for n in range(p.n_amplitudes + 1):
-        for e in trellis.levels(n):
-            yield f"{n} {e} {trellis.back_count(n, e)} {trellis.fwd_count(n, e)}"
+    for n, column in enumerate(trellis.back_columns):
+        prefix = f"{n} "
+        for e, count in column.items():
+            yield f"{prefix}{e} {count}"
     yield f"END {trellis.num_sequences}"
 
 
@@ -476,21 +498,21 @@ def deserialize(data: str | bytes) -> Trellis:
             raise TrellisFormatError(
                 f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
             )
-        nodes = sum(mask.bit_count() for _, mask in _nodes(params, band))
+        nodes = _nodes(params, band)
     except (KeyError, ValueError, EmptyCodebookError) as exc:  # ParameterError is a ValueError
         raise TrellisFormatError(f"line 2 {lines[1]!r} defines no trellis: {exc!r}") from exc
     # a valid file has exactly one line per node
-    if nodes > len(lines) - 3:
+    if sum(mask.bit_count() for _, mask in nodes) > len(lines) - 3:
         raise TrellisFormatError(
             f"the header defines over {len(lines) - 3} nodes, "
             f"more than the file has node lines for"
         )
-    trellis = _build(params, band)
-    for number, (got, want) in enumerate(zip_longest(lines, _lines(trellis)), 1):
-        if got != want:
-            raise TrellisFormatError(
-                f"line {number} is {got!r}, the header defines {want!r}"
-            )
+    trellis = _build(params, band, nodes)
+    wanted = list(_lines(trellis))
+    if lines != wanted:
+        number, got, want = next((number, got, want) for number, (got, want)
+                                 in enumerate(zip_longest(lines, wanted), 1) if got != want)
+        raise TrellisFormatError(f"line {number} is {got!r}, the header defines {want!r}")
     return trellis
 
 

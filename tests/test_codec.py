@@ -24,7 +24,9 @@ from bandshape.trellis import (
     TrellisParams,
     build_band_trellis,
     build_full_trellis,
+    deserialize,
     max_shaping_bits,
+    serialize,
 )
 
 from oracles import bits_to_bytes, enumerate_sequences, index_to_bits, node_table
@@ -231,6 +233,23 @@ class TestGappedColumns:
             else:
                 with pytest.raises(InvalidSequenceError):
                     decode_index(t, seq)
+
+    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
+    def test_forward_counts_unpack_on_first_use(self, n, amps, e_max, band):
+        t = _gapped_trellis(n, amps, e_max, band)
+        assert "fwd_columns" not in vars(t)
+        want = [{e: fwd for e, _, fwd in column}
+                for column in node_table(n, amps, e_max, band)]
+        assert list(t.fwd_columns) == want
+        assert "fwd_columns" in vars(t)
+
+    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
+    def test_codec_leaves_forward_counts_packed(self, n, amps, e_max, band):
+        t = deserialize(serialize(_gapped_trellis(n, amps, e_max, band)))
+        assert "fwd_columns" not in vars(t)
+        for i in range(t.num_sequences):
+            assert decode_index(t, encode_index(t, i)) == i
+        assert "fwd_columns" not in vars(t)
 
     def test_prefix_between_nodes(self):
         # column 4 holds energies 4, 20, 28 and 36; the prefix 1,1,1,3 lands

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -613,6 +614,11 @@ def rejection_peak(text, match):
         tracemalloc.stop()
 
 
+# the toy trellis in format v1, whose node lines also held the forward count
+TOY_V1 = ("ESSTRELLIS v1\nN=3 ALPHABET=1,3,5 EMAX=27 BAND=none\n"
+          "0 0 11 1\n1 1 6 1\n1 9 4 1\n1 25 1 1\n2 2 3 1\n2 10 2 2\n2 18 2 1\n"
+          "2 26 1 2\n3 3 1 1\n3 11 1 3\n3 19 1 3\n3 27 1 4\nEND 11\n")
+
 class TestSerialization:
     def test_round_trip_toy(self):
         t = toy_trellis()
@@ -637,9 +643,32 @@ class TestSerialization:
             deserialize(text[: len(text) // 2])
 
     def test_version_mismatch(self):
-        text = serialize(toy_trellis()).replace("ESSTRELLIS v1", "ESSTRELLIS v9")
+        text = serialize(toy_trellis()).replace("ESSTRELLIS v2", "ESSTRELLIS v9")
         with pytest.raises(TrellisFormatError):
             deserialize(text)
+
+    def test_v1_file_rejected(self):
+        with pytest.raises(TrellisFormatError, match="expected 'ESSTRELLIS v2'"):
+            deserialize(TOY_V1)
+
+    # SHA-256 of the format-v1 files of `trellis build --n 108 --alphabet
+    # 1,3,5,7 --bits 162`, without and with `--band 11,0`
+    @pytest.mark.parametrize("band, v1_sha256", [
+        (None, "e29145707fcd70ae87a11b29a478e8dc0d1cb9a23f8bf6c7a01359d203aa6b48"),
+        (BandParams(11, 0), "69a0bd2f714fb06fa2fc059917f6f0d0da54a4ae5ee84e1f3c72860882d3e042"),
+    ], ids=["ess", "band11,0"])
+    def test_n108_files_are_v1_without_forward_counts(self, band, v1_sha256):
+        # v1 rebuilt from the v2 text and the lazily unpacked forward counts
+        e_max = min_emax_for_bits(108, A1357, 162, band=band)
+        t = _build(TrellisParams(108, A1357, e_max), band)
+        lines = serialize(t).splitlines()
+        assert lines[0] == "ESSTRELLIS v2"
+        v1 = ["ESSTRELLIS v1", lines[1]]
+        for line in lines[2:-1]:
+            n, e, _ = line.split()
+            v1.append(f"{line} {t.fwd_columns[int(n)][int(e)]}")
+        v1.append(lines[-1])
+        assert hashlib.sha256(("\n".join(v1) + "\n").encode()).hexdigest() == v1_sha256
 
     def test_checksum_failure(self):
         text = serialize(toy_trellis())
@@ -649,15 +678,15 @@ class TestSerialization:
             deserialize("\n".join(lines) + "\n")
 
     def test_malformed_counts(self):
-        text = serialize(toy_trellis()).replace(" 11 ", " eleven ", 1)
+        text = serialize(toy_trellis()).replace("\n0 0 11\n", "\n0 0 eleven\n", 1)
         with pytest.raises(TrellisFormatError):
             deserialize(text)
 
     def test_tampered_count_table(self):
         text = serialize(toy_trellis())
         lines = text.splitlines()
-        n, e, t_cnt, f_cnt = lines[3].split()
-        lines[3] = f"{n} {e} {int(t_cnt) + 1} {f_cnt}"
+        n, e, t_cnt = lines[3].split()
+        lines[3] = f"{n} {e} {int(t_cnt) + 1}"
         with pytest.raises(TrellisFormatError):
             deserialize("\n".join(lines) + "\n")
 
@@ -682,44 +711,44 @@ class TestSerialization:
             raise AssertionError("a 3-line file must not trigger a build")
 
         monkeypatch.setattr(trellis_module, "_build", no_build)
-        text = "ESSTRELLIS v1\nN=1000000 ALPHABET=1,3,5 EMAX=1000000 BAND=none\nEND 1\n"
+        text = "ESSTRELLIS v2\nN=1000000 ALPHABET=1,3,5 EMAX=1000000 BAND=none\nEND 1\n"
         with pytest.raises(TrellisFormatError, match="truncated"):
             deserialize(text)
 
     def test_node_cap_stops_rebuild(self):
         # 24 lines whose header defines 246,431 nodes: no packed pass runs
         amps = ",".join(str(a) for a in range(1, 100, 2))
-        lines = ["ESSTRELLIS v1", f"N=20 ALPHABET={amps} EMAX=196020 BAND=none"]
-        lines += ["0 0 1 1"] * 21 + ["END 1"]
+        lines = ["ESSTRELLIS v2", f"N=20 ALPHABET={amps} EMAX=196020 BAND=none"]
+        lines += ["0 0 1"] * 21 + ["END 1"]
         with pytest.raises(TrellisFormatError, match="over 21 nodes"):
             deserialize("\n".join(lines) + "\n")
 
     def test_large_amplitude_allocates_little(self):
-        # a 90-byte file: no shifted column copy may outgrow the window
-        text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,9999 EMAX=27 BAND=none\n"
-                + "0 0 1 1\n" * 4 + "END 1\n")
+        # an 82-byte file: no shifted column copy may outgrow the window
+        text = ("ESSTRELLIS v2\nN=3 ALPHABET=1,9999 EMAX=27 BAND=none\n"
+                + "0 0 1\n" * 4 + "END 1\n")
         assert rejection_peak(text, "line 4") < 1 << 20
 
     def test_tall_band_header_allocates_little(self):
-        # a 101-byte file: a band window stops at the reach, not at EMAX
-        text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,3 EMAX=8000000003 BAND=10000000,0\n"
-                + "0 0 1 1\n" * 4 + "END 1\n")
+        # a 93-byte file: a band window stops at the reach, not at EMAX
+        text = ("ESSTRELLIS v2\nN=3 ALPHABET=1,3 EMAX=8000000003 BAND=10000000,0\n"
+                + "0 0 1\n" * 4 + "END 1\n")
         assert rejection_peak(text, "no trellis") < 1 << 20
 
     def test_sparse_alphabet_counts_nodes_before_unpacking(self):
-        # a 96-byte file whose windows hold 3 million levels a column
-        text = ("ESSTRELLIS v1\nN=3 ALPHABET=1,4999 EMAX=74970003 BAND=none\n"
-                + "0 0 1 1\n" * 4 + "END 1\n")
+        # an 88-byte file whose windows hold 3 million levels a column
+        text = ("ESSTRELLIS v2\nN=3 ALPHABET=1,4999 EMAX=74970003 BAND=none\n"
+                + "0 0 1\n" * 4 + "END 1\n")
         start = time.perf_counter()
         with pytest.raises(TrellisFormatError, match="over 4 nodes"):
             deserialize(text)
         assert time.perf_counter() - start < 1.0
 
     def test_dense_alphabet_counts_nodes_before_packed_passes(self):
-        # a 732-byte file whose header defines 4.0 million nodes over 100 letters
+        # a 648-byte file whose header defines 4.0 million nodes over 100 letters
         amps = ",".join(str(a) for a in range(1, 200, 2))
-        text = (f"ESSTRELLIS v1\nN=40 ALPHABET={amps} EMAX={40 * 199**2} BAND=none\n"
-                + "0 0 1 1\n" * 42)
+        text = (f"ESSTRELLIS v2\nN=40 ALPHABET={amps} EMAX={40 * 199**2} BAND=none\n"
+                + "0 0 1\n" * 42)
         start = time.perf_counter()
         with pytest.raises(TrellisFormatError, match="over 41 nodes"):
             deserialize(text)
@@ -736,7 +765,7 @@ class TestSerialization:
         start = time.perf_counter()
         u = deserialize(text)
         assert time.perf_counter() - start < 1.0
-        assert len(text) == 186 and t.num_sequences == 8
+        assert len(text) == 166 and t.num_sequences == 8
         assert table(u) == table(t)
 
     def test_header_without_codebook(self):
