@@ -3,7 +3,8 @@ per-sequence energy variability, and dB comparisons between codebooks.
 
 Exact metrics run over all sequences of a trellis with uniform sequence
 weighting; the occurrence count of amplitude a feeding position n is
-fwd(n, e) * back(n+1, e + a^2) summed over active nodes. Accumulation stays
+fwd(n, e) * back(n+1, e + a^2) summed over the nodes of column n, where fwd
+counts the paths from the origin. Accumulation stays
 in integer/rational arithmetic until the final float conversion so that
 large-count trellises do not drift.
 """
@@ -69,17 +70,28 @@ def _metrics_from_occurrences(alphabet, occ, total) -> tuple:
 
 
 def exact_metrics(trellis: Trellis) -> ShapingMetrics:
-    """Exact statistics over every sequence in the trellis."""
+    """Exact statistics over every sequence in the trellis.
+
+    The forward counts are summed column by column over the edges between
+    nodes: every parent of a node that the origin reaches is a node too.
+    """
     amps = trellis.params.alphabet.amplitudes
     steps = tuple(zip(amps, trellis.params.alphabet.squares))
     n_len = trellis.params.n_amplitudes
     occ = {a: 0 for a in amps}
-    for fwd, back in zip(trellis.fwd_columns, trellis.back_columns[1:]):
-        for e, paths_in in fwd.items():
-            for a, s in steps:
-                paths_out = back.get(e + s)
+    fwd = {0: 1}
+    for back in trellis.back_columns[1:]:
+        nxt = dict.fromkeys(back, 0)
+        for a, s in steps:
+            acc = 0
+            for e, paths_in in fwd.items():
+                child = e + s
+                paths_out = back.get(child)
                 if paths_out is not None:
-                    occ[a] += paths_in * paths_out
+                    acc += paths_in * paths_out
+                    nxt[child] += paths_in
+            occ[a] += acc
+        fwd = nxt
     total = n_len * trellis.num_sequences
     p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(amps, occ, total)
     return ShapingMetrics(amps, p, e2, e4, var_e, kurtosis)

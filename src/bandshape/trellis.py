@@ -114,42 +114,22 @@ class BandParams:
 
 
 class Trellis:
-    """Immutable node set with backward and forward path counts.
+    """Immutable node set with its backward path counts.
 
     back_columns[n] maps the energy e of every node of column n, ascending,
-    to the number of ways to reach the final column from (n, e);
-    fwd_columns[n] maps it to the number of ways to arrive at (n, e) from
-    the origin. No other level has an entry. The codec and the metrics walk
-    these dicts directly, so both tuples and their dicts are read-only.
-    Only the metrics read the forward counts, so fwd_columns is unpacked on
-    first use from the bytes the build cut out of its packed forward pass:
-    per column, each node's count in count_bytes little-endian bytes, in
-    the order of back_columns[n].
-    back_count and fwd_count are the same counts as point queries, which
-    report 0 for a level that is not a node.
+    to the number of ways to reach the final column from (n, e). No other
+    level has an entry. The codec and the metrics walk these dicts
+    directly, so the tuple and its dicts are read-only.
     """
 
     def __init__(self, params: TrellisParams, band: BandParams | None,
-                 back: list[dict[int, int]], fwd_bytes: list[bytes], count_bytes: int):
+                 back: list[dict[int, int]]):
         self.params = params
         self.band = band
         self.back_columns = tuple(back)
-        self._fwd_bytes = tuple(fwd_bytes)
-        self._count_bytes = count_bytes
-
-    @cached_property
-    def fwd_columns(self) -> tuple[dict[int, int], ...]:
-        return tuple(_unpack(back, raw, self._count_bytes)
-                     for back, raw in zip(self.back_columns, self._fwd_bytes))
 
     def levels(self, n: int) -> tuple[int, ...]:
         return tuple(self.back_columns[n])
-
-    def back_count(self, n: int, e: int) -> int:
-        return self.back_columns[n].get(e, 0)
-
-    def fwd_count(self, n: int, e: int) -> int:
-        return self.fwd_columns[n].get(e, 0)
 
     @property
     def num_sequences(self) -> int:
@@ -264,7 +244,8 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
 
 def _backward(windows, cols, width: int, shifts: tuple[int, ...], op) -> list[int]:
     """Packed per-column values of the paths to the final column, on the
-    forward pass's bases (no lower level is reached from the origin).
+    bases of a forward pass's (base, _) pairs, cols (no lower level is
+    reached from the origin).
 
     The steps of _forward undone with right shifts, from a 1 at every
     admitted level of the final column; windows include column 0's (0, 0).
@@ -325,26 +306,20 @@ def _unpack(levels, raw: bytes, size: int) -> dict[int, int]:
 def _build(params: TrellisParams, band: BandParams | None,
            nodes: list[tuple[int, int]] | None = None) -> Trellis:
     """The nodes of _nodes (computed here unless given) with their counts
-    from both packed passes.
+    from one packed backward pass on the node bases.
 
     Each column's node counts are cut out of its packed values one run of
     adjacent nodes at a time, so a load visits the levels its file holds
-    and skips the gaps between them. The backward counts are unpacked now;
-    the forward counts stay as those bytes until the metrics ask for them
-    (Trellis.fwd_columns). They need no pruning: every parent of a node
-    that reaches the final column reaches it too.
+    and skips the gaps between them.
     """
     if nodes is None:
         nodes = _nodes(params, band)
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     windows = [(0, 0), *_level_windows(params, band)]
-    fwd_cols = _forward(windows[1:], width, shifts, operator.add)
-    back_cols = _backward(windows, fwd_cols, width, shifts, operator.add)
+    back_cols = _backward(windows, nodes, width, shifts, operator.add)
     size, min_sq = width // 8, params.alphabet.squares[0]
     back: list[dict[int, int]] = []
-    fwd_bytes: list[bytes] = []
-    for m, ((base, mask), (_, f_col), b_col, (_, hi)) in enumerate(
-            zip(nodes, fwd_cols, back_cols, windows)):
+    for m, ((base, mask), b_col, (_, hi)) in enumerate(zip(nodes, back_cols, windows)):
         levels: list[int] = []
         spans = []  # each run's bytes in the to_bytes of a packed column
         e0 = m * min_sq + 8 * base
@@ -355,11 +330,9 @@ def _build(params: TrellisParams, band: BandParams | None,
             levels += range(e0 + 8 * start, e0 + 8 * stop, 8)
             spans.append(slice(start * size, stop * size))
             start = bits.find("1", stop)
-        b_raw = b_col.to_bytes((hi - base + 1) * size, "little")
-        f_raw = f_col.to_bytes(len(b_raw), "little")
-        back.append(_unpack(levels, b"".join([b_raw[s] for s in spans]), size))
-        fwd_bytes.append(b"".join([f_raw[s] for s in spans]))
-    return Trellis(params, band, back, fwd_bytes, size)
+        raw = b_col.to_bytes((hi - base + 1) * size, "little")
+        back.append(_unpack(levels, b"".join([raw[s] for s in spans]), size))
+    return Trellis(params, band, back)
 
 
 def build_full_trellis(params: TrellisParams) -> Trellis:

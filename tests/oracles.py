@@ -2,10 +2,11 @@
 
 Everything here enumerates sequences directly over the alphabet product and
 applies membership rules position by position, and none of it touches the
-dynamic-programming code under test, with one exception: `min_emax_scan`
+dynamic-programming code under test, with two exceptions: `min_emax_scan`
 counts each grid point with `trellis._count_only`, so it checks only the
-band search's scan around those counts. The e_max search is checked
-against enumeration by `TestMinEmax.test_matches_bruteforce_scan`. The
+band search's scan around those counts, and `forward_columns` takes a
+trellis's node set as given and counts the paths into it. The e_max search
+is checked against enumeration by `TestMinEmax.test_matches_bruteforce_scan`. The
 bit packers move one bit at a time, independently of the codec's
 binary-string slicing. The split-step references keep the plain numpy
 expressions and the out-of-place transforms that the in-place propagator
@@ -183,6 +184,28 @@ def node_table(n, alphabet, e_max, band=None):
             column.append((e, back, len(prefixes[e])))
         table.append(column)
     return table
+
+
+def forward_columns(trellis):
+    """Per column, {energy: paths from the origin} over the nodes of
+    back_columns, each node's count summed from its parents in the column
+    before (a parent the origin reaches is a node)."""
+    squares = trellis.params.alphabet.squares
+    columns = [{0: 1}]
+    for back in trellis.back_columns[1:]:
+        prev = columns[-1]
+        columns.append({e: sum(prev.get(e - s, 0) for s in squares) for e in back})
+    return columns
+
+
+# Sparse alphabets leave gaps between the nodes of a column, where the
+# codec's column lookups find no entry: (n, alphabet, e_max, band).
+GAPPED = (
+    (7, (1, 7), 151, None),
+    (6, (1, 3, 9), 86, None),
+    (7, (1, 7), 199, (13, 1)),
+    (6, (1, 3, 9), 86, (8, 1)),
+)
 
 
 def bytes_to_bits(data):

@@ -24,12 +24,10 @@ from bandshape.trellis import (
     TrellisParams,
     build_band_trellis,
     build_full_trellis,
-    deserialize,
     max_shaping_bits,
-    serialize,
 )
 
-from oracles import bits_to_bytes, enumerate_sequences, index_to_bits, node_table
+from oracles import GAPPED, bits_to_bytes, enumerate_sequences, index_to_bits, node_table
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -193,16 +191,6 @@ class TestBijectivityGrid:
             assert len(seen) == t.num_sequences
 
 
-# Sparse alphabets leave gaps between the nodes of a column, where the
-# codec's column lookups find no entry: (n, alphabet, e_max, band).
-GAPPED = (
-    (7, (1, 7), 151, None),
-    (6, (1, 3, 9), 86, None),
-    (7, (1, 7), 199, (13, 1)),
-    (6, (1, 3, 9), 86, (8, 1)),
-)
-
-
 def _gapped_trellis(n, amps, e_max, band):
     params = TrellisParams(n, Alphabet(amps), e_max)
     if band is None:
@@ -233,23 +221,6 @@ class TestGappedColumns:
             else:
                 with pytest.raises(InvalidSequenceError):
                     decode_index(t, seq)
-
-    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
-    def test_forward_counts_unpack_on_first_use(self, n, amps, e_max, band):
-        t = _gapped_trellis(n, amps, e_max, band)
-        assert "fwd_columns" not in vars(t)
-        want = [{e: fwd for e, _, fwd in column}
-                for column in node_table(n, amps, e_max, band)]
-        assert list(t.fwd_columns) == want
-        assert "fwd_columns" in vars(t)
-
-    @pytest.mark.parametrize("n, amps, e_max, band", GAPPED)
-    def test_codec_leaves_forward_counts_packed(self, n, amps, e_max, band):
-        t = deserialize(serialize(_gapped_trellis(n, amps, e_max, band)))
-        assert "fwd_columns" not in vars(t)
-        for i in range(t.num_sequences):
-            assert decode_index(t, encode_index(t, i)) == i
-        assert "fwd_columns" not in vars(t)
 
     def test_prefix_between_nodes(self):
         # column 4 holds energies 4, 20, 28 and 36; the prefix 1,1,1,3 lands

@@ -31,7 +31,13 @@ from bandshape.trellis import (
 )
 from bandshape.codec import encode_index
 
-from oracles import enumerate_sequences, exact_moments, min_emax_scan, sampled_moments
+from oracles import (
+    GAPPED,
+    enumerate_sequences,
+    exact_moments,
+    min_emax_scan,
+    sampled_moments,
+)
 
 A13 = Alphabet((1, 3))
 A135 = Alphabet((1, 3, 5))
@@ -67,6 +73,8 @@ class TestExactMetrics:
             (6, A1357, 102, None),
             (7, A1357, 63, (2, 1)),
             (5, A135, 45, (2, 0)),
+            # gapped columns: a forward count must carry across each gap
+            *((n, Alphabet(amps), e_max, band) for n, amps, e_max, band in GAPPED),
         ]
         for n, alph, e_max, band in cases:
             params = TrellisParams(n, alph, e_max)

@@ -88,8 +88,9 @@ def test_traced_link_records_every_stage(tracer):
 
 def test_traced_band_search_counts_candidates(tracer, monkeypatch):
     # the tracer counts a candidate per band= search under the operating-point
-    # search, however many geometries that search visits
-    searches = []
+    # search, however many geometries that search visits, and the nodes of
+    # every trellis the search builds (its node hook reads Trellis.levels)
+    searches, trellises = [], []
     search = metrics.min_emax_for_bits
 
     def spy(*args, **kwargs):
@@ -97,7 +98,15 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
             searches.append(kwargs["band"])
         return search(*args, **kwargs)
 
+    def build_spy(build):
+        def spied(*args, **kwargs):
+            trellises.append(build(*args, **kwargs))
+            return trellises[-1]
+        return spied
+
     monkeypatch.setattr(metrics, "min_emax_for_bits", spy)
+    for name in ("build_full_trellis", "build_band_trellis"):
+        monkeypatch.setattr(metrics, name, build_spy(getattr(metrics, name)))
     tr = tracer.Tracer()
     uninstall = tr.install()
     try:
@@ -106,6 +115,9 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
         uninstall()
     assert searches
     assert tr.counts["metrics.band_candidates"] == len(searches)
+    assert len(trellises) > 1
+    assert tr.counts["trellis.nodes"] == sum(
+        len(column) for t in trellises for column in t.back_columns)
 
 
 def test_machine_facts_keys(facts):

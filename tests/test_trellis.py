@@ -37,6 +37,7 @@ from oracles import (
     band_bounds,
     count_sequences,
     enumerate_sequences,
+    forward_columns,
     min_emax_scan,
     node_table,
 )
@@ -165,10 +166,11 @@ class TestFullTrellis:
         for n in range(n_len):
             for e in t.levels(n):
                 children = sum(
-                    t.back_count(n + 1, e + a * a) for a in t.params.alphabet.amplitudes
+                    t.back_columns[n + 1].get(e + a * a, 0)
+                    for a in t.params.alphabet.amplitudes
                 )
-                assert t.back_count(n, e) == children
-        assert sum(t.fwd_count(n_len, e) for e in t.levels(n_len)) == t.num_sequences
+                assert t.back_columns[n].get(e, 0) == children
+        assert sum(forward_columns(t)[n_len].values()) == t.num_sequences
 
     def test_grid_property(self):
         t = build_full_trellis(TrellisParams(6, A1357, 150))
@@ -179,15 +181,16 @@ class TestFullTrellis:
 
     def test_final_back_counts_are_one(self):
         t = toy_trellis()
-        assert all(t.back_count(3, e) == 1 for e in t.levels(3))
+        assert all(t.back_columns[3].get(e, 0) == 1 for e in t.levels(3))
 
     def test_every_node_carries_a_path(self):
         # pruning soundness: paths through (n,e) = F*T >= 1 and matches enumeration
         t = toy_trellis()
         seqs = enumerate_sequences(3, (1, 3, 5), 27)
+        fwd = forward_columns(t)
         for n in range(4):
             for e in t.levels(n):
-                through = t.fwd_count(n, e) * t.back_count(n, e)
+                through = fwd[n].get(e, 0) * t.back_columns[n].get(e, 0)
                 assert through >= 1
                 hits = sum(
                     1 for s in seqs if sum(a * a for a in s[:n]) == e
@@ -228,11 +231,12 @@ class TestBandTrellis:
         full = build_full_trellis(params)
         band = build_band_trellis(params, BandParams(4, 3))
         assert band.num_sequences == full.num_sequences
+        band_fwd, full_fwd = forward_columns(band), forward_columns(full)
         for n in range(4):
             assert band.levels(n) == full.levels(n)
             for e in full.levels(n):
-                assert band.back_count(n, e) == full.back_count(n, e)
-                assert band.fwd_count(n, e) == full.fwd_count(n, e)
+                assert band.back_columns[n].get(e, 0) == full.back_columns[n].get(e, 0)
+                assert band_fwd[n].get(e, 0) == full_fwd[n].get(e, 0)
 
     def test_single_ramp(self):
         t = build_band_trellis(TrellisParams(3, A135, 27), BandParams(1, 0))
@@ -460,7 +464,8 @@ class TestBandSearch:
 
 def table(t):
     """Node set with backward and forward counts, column by column."""
-    return [[(e, t.back_count(n, e), t.fwd_count(n, e)) for e in t.levels(n)]
+    fwd = forward_columns(t)
+    return [[(e, t.back_columns[n].get(e, 0), fwd[n].get(e, 0)) for e in t.levels(n)]
             for n in range(t.params.n_amplitudes + 1)]
 
 
@@ -625,11 +630,12 @@ class TestSerialization:
         u = deserialize(serialize(t))
         assert u.params == t.params
         assert u.band == t.band
+        u_fwd, t_fwd = forward_columns(u), forward_columns(t)
         for n in range(4):
             assert u.levels(n) == t.levels(n)
             for e in t.levels(n):
-                assert u.back_count(n, e) == t.back_count(n, e)
-                assert u.fwd_count(n, e) == t.fwd_count(n, e)
+                assert u.back_columns[n].get(e, 0) == t.back_columns[n].get(e, 0)
+                assert u_fwd[n].get(e, 0) == t_fwd[n].get(e, 0)
 
     def test_round_trip_band(self):
         t = build_band_trellis(TrellisParams(7, A1357, 63), BandParams(2, 1))
@@ -658,15 +664,16 @@ class TestSerialization:
         (BandParams(11, 0), "69a0bd2f714fb06fa2fc059917f6f0d0da54a4ae5ee84e1f3c72860882d3e042"),
     ], ids=["ess", "band11,0"])
     def test_n108_files_are_v1_without_forward_counts(self, band, v1_sha256):
-        # v1 rebuilt from the v2 text and the lazily unpacked forward counts
+        # v1 rebuilt from the v2 text and the forward counts over its nodes
         e_max = min_emax_for_bits(108, A1357, 162, band=band)
         t = _build(TrellisParams(108, A1357, e_max), band)
+        fwd = forward_columns(t)
         lines = serialize(t).splitlines()
         assert lines[0] == "ESSTRELLIS v2"
         v1 = ["ESSTRELLIS v1", lines[1]]
         for line in lines[2:-1]:
             n, e, _ = line.split()
-            v1.append(f"{line} {t.fwd_columns[int(n)][int(e)]}")
+            v1.append(f"{line} {fwd[int(n)][int(e)]}")
         v1.append(lines[-1])
         assert hashlib.sha256(("\n".join(v1) + "\n").encode()).hexdigest() == v1_sha256
 
