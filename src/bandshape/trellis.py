@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 
 from .errors import (
     EmptyCodebookError,
@@ -149,12 +149,11 @@ def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...
     [W*g, W*(g+1)) hold the count at level g, the energy m*a_min**2 + 8*g of
     column m. No count reaches |alphabet|**n < 2**(W-1), so a level never
     carries into the next one and the sum over all levels stays below
-    2**W - 1. W is a whole number of bytes, so a column unpacks through
-    to_bytes. Appending amplitude a to every path moves each count up
+    2**W - 1. Appending amplitude a to every path moves each count up
     (a**2 - a_min**2)/8 levels, a left shift by the returned bit count; one
     trellis step is the product with the polynomial sum(1 << shift).
     """
-    width = -(-((len(alphabet) ** n_amplitudes).bit_length() + 1) // 8) * 8
+    width = (len(alphabet) ** n_amplitudes).bit_length() + 1
     squares = alphabet.squares
     return width, tuple(width * ((s - squares[0]) // 8) for s in squares)
 
@@ -242,24 +241,24 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
     return cols
 
 
-def _backward(windows, cols, width: int, shifts: tuple[int, ...], op) -> list[int]:
-    """Packed per-column values of the paths to the final column, on the
-    bases of a forward pass's (base, _) pairs, cols (no lower level is
-    reached from the origin).
+def _backward(windows, cols, shifts: tuple[int, ...]) -> list[int]:
+    """Per column, bit g set where level base + g leads to the final column,
+    on the bases of a reachability pass's (base, _) pairs, cols (no lower
+    level is reached from the origin).
 
     The steps of _forward undone with right shifts, from a 1 at every
     admitted level of the final column; windows include column 0's (0, 0).
     """
     spans = [hi - base + 1 for (_, hi), (base, _) in zip(windows, cols)]
-    col = ((1 << (width * spans[-1])) - 1) // ((1 << width) - 1)
+    col = (1 << spans[-1]) - 1
     back_cols = [col]
     rest = shifts[1:]
     for m in range(len(cols) - 2, -1, -1):
-        col <<= width * (cols[m + 1][0] - cols[m][0])
+        col <<= cols[m + 1][0] - cols[m][0]
         nxt = col
         for s in rest:
-            nxt = op(nxt, col >> s)
-        col = nxt & ((1 << (width * spans[m])) - 1)
+            nxt |= col >> s
+        col = nxt & ((1 << spans[m]) - 1)
         back_cols.append(col)
     back_cols.reverse()
     return back_cols
@@ -281,7 +280,7 @@ def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, in
     the final column.
 
     Both passes run at 1 bit per level with OR in place of +, so they cost
-    W times less than the packed count passes, and a node is exactly a
+    W times less than a packed count pass, and a node is exactly a
     level whose forward and backward counts are both nonzero.
     """
     n_len, squares = params.n_amplitudes, params.alphabet.squares
@@ -292,46 +291,46 @@ def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, in
         raise EmptyCodebookError(
             f"no admissible node at column {len(reach)}; band too narrow"
         )
-    leave = _backward(windows, reach, 1, offsets, operator.or_)
+    leave = _backward(windows, reach, offsets)
     return [(base, mask & out) for (base, mask), out in zip(reach, leave)]
-
-
-def _unpack(levels, raw: bytes, size: int) -> dict[int, int]:
-    """The i-th of levels mapped to the i-th size-byte little-endian count of raw."""
-    from_bytes = int.from_bytes  # one attribute lookup per column, not per node
-    return dict(zip(levels, [from_bytes(raw[at:at + size], "little")
-                             for at in range(0, len(raw), size)]))
 
 
 def _build(params: TrellisParams, band: BandParams | None,
            nodes: list[tuple[int, int]] | None = None) -> Trellis:
-    """The nodes of _nodes (computed here unless given) with their counts
-    from one packed backward pass on the node bases.
+    """The nodes of _nodes (computed here unless given) with their backward
+    counts, summed from the final column down one run of adjacent nodes at
+    a time.
 
-    Each column's node counts are cut out of its packed values one run of
-    adjacent nodes at a time, so a load visits the levels its file holds
-    and skips the gaps between them.
+    A node's count is the sum of its children's, and a child absent from
+    the next column's dict counts 0: a child of a node is reached from the
+    origin, so it is either a node or has no path to the final column. A
+    load thus visits the levels its file holds and skips the gaps between
+    them. The children are summed side by side, not through one map per
+    amplitude chained onto the last: a chain nests as deep as the alphabet
+    is long, and a long enough alphabet overflows the C stack.
     """
     if nodes is None:
         nodes = _nodes(params, band)
-    width, shifts = _packing(params.n_amplitudes, params.alphabet)
-    windows = [(0, 0), *_level_windows(params, band)]
-    back_cols = _backward(windows, nodes, width, shifts, operator.add)
-    size, min_sq = width // 8, params.alphabet.squares[0]
-    back: list[dict[int, int]] = []
-    for m, ((base, mask), b_col, (_, hi)) in enumerate(zip(nodes, back_cols, windows)):
-        levels: list[int] = []
-        spans = []  # each run's bytes in the to_bytes of a packed column
-        e0 = m * min_sq + 8 * base
+    squares = params.alphabet.squares
+    runs = []  # per column, its nodes' energies as one range per run
+    for m, (base, mask) in enumerate(nodes):
+        e0 = m * squares[0] + 8 * base
         bits = format(mask, "b")[::-1] + "0"  # bit g of mask at index g, then a stop
-        start = bits.find("1")
+        start, column = bits.find("1"), []
         while start >= 0:
             stop = bits.find("0", start)
-            levels += range(e0 + 8 * start, e0 + 8 * stop, 8)
-            spans.append(slice(start * size, stop * size))
+            column.append(range(e0 + 8 * start, e0 + 8 * stop, 8))
             start = bits.find("1", stop)
-        raw = b_col.to_bytes((hi - base + 1) * size, "little")
-        back.append(_unpack(levels, b"".join([raw[s] for s in spans]), size))
+        runs.append(column)
+    back = [dict.fromkeys(chain.from_iterable(runs[-1]), 1)]
+    for column in reversed(runs[:-1]):
+        get, counts = back[-1].get, {}
+        for run in column:
+            lo, hi = run.start, run.stop
+            children = [map(get, range(lo + s, hi + s, 8), repeat(0)) for s in squares]
+            counts.update(zip(run, map(sum, zip(*children))))
+        back.append(counts)
+    back.reverse()
     return Trellis(params, band, back)
 
 

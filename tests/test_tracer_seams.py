@@ -11,16 +11,24 @@ tracer, so they are loaded and run the same way.
 """
 
 import importlib.util
+import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from bandshape import fibersim, metrics
+from bandshape import cli, fibersim, metrics
 from bandshape.fibersim import FiberParams, LinkParams
-from bandshape.trellis import Alphabet
+from bandshape.trellis import (
+    Alphabet,
+    TrellisParams,
+    build_full_trellis,
+    min_emax_for_bits,
+    save_trellis,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -118,6 +126,39 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
     assert len(trellises) > 1
     assert tr.counts["trellis.nodes"] == sum(
         len(column) for t in trellises for column in t.back_columns)
+
+
+def test_traced_metrics_fit_a_strict_result_line(tracer, tmp_path, capsys):
+    # the benchmark's result line is strict JSON of int64-sized numbers, so a
+    # count the tracer adds up (metrics.samples sums num_samples) must stay
+    # machine sized: stats sweeps every used index of a 12-bit codebook, and
+    # samples a 64-bit one
+    a1357 = Alphabet((1, 3, 5, 7))
+    runs = []
+    for n, k, samples in ((12, 12, 1 << 12), (40, 64, 50)):
+        path = tmp_path / f"{n}.tr"
+        params = TrellisParams(n, a1357, min_emax_for_bits(n, a1357, k))
+        save_trellis(build_full_trellis(params), path)
+        runs.append(["stats", "--trellis", str(path), "--samples", str(samples)])
+    tr = tracer.Tracer()
+    uninstall = tr.install()
+    start = time.perf_counter()
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0
+        metrics.find_band_operating_point(16, a1357, 24)
+    finally:
+        uninstall()
+    got = tracer.layer_metrics(tr, time.perf_counter() - start)
+    capsys.readouterr()
+    assert got["metrics.samples"] == (1 << 12) + 50
+    assert got["metrics.band_candidates"] > 0
+    json.dumps(got, allow_nan=False)
+    for name, value in got.items():
+        if isinstance(value, float):
+            assert math.isfinite(value), name
+        else:
+            assert isinstance(value, int) and abs(value) < 1 << 63, name
 
 
 def test_machine_facts_keys(facts):

@@ -608,15 +608,22 @@ class TestParseText:
             deserialize(serialize(toy_trellis()).replace(old, new, 1))
 
 
-def rejection_peak(text, match):
-    """Peak traced allocation, in bytes, of a load that must fail with match."""
+def traced_peak(call, *args):
+    """Peak traced allocation, in bytes, of call(*args)."""
     tracemalloc.start()
     try:
-        with pytest.raises(TrellisFormatError, match=match):
-            deserialize(text)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def rejection_peak(text, match):
+    """Peak traced allocation, in bytes, of a load that must fail with match."""
+    def load():
+        with pytest.raises(TrellisFormatError, match=match):
+            deserialize(text)
+    return traced_peak(load)
 
 
 # the toy trellis in format v1, whose node lines also held the forward count
@@ -774,6 +781,17 @@ class TestSerialization:
         assert time.perf_counter() - start < 1.0
         assert len(text) == 166 and t.num_sequences == 8
         assert table(u) == table(t)
+        # counts are summed over the nodes, not over every level of a window
+        assert traced_peak(build_full_trellis, params) < 32 << 20
+        assert traced_peak(deserialize, text) < 32 << 20
+
+    def test_long_alphabet_round_trip(self):
+        # 100,000 amplitudes: a node sums its children side by side, so the
+        # alphabet's length sets no nesting depth
+        params = TrellisParams(1, Alphabet(tuple(range(1, 200000, 2))), 1)
+        t = build_full_trellis(params)
+        assert [dict(column) for column in t.back_columns] == [{0: 1}, {1: 1}]
+        assert table(deserialize(serialize(t))) == table(t)
 
     def test_header_without_codebook(self):
         # an empty band and a band wider than N: valid tables, impossible headers
