@@ -236,15 +236,27 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
     Each width therefore walks the heights downward: a search starts at the
     previous height's e_max, and the walk stops at the first infeasible
     height instead of scanning the whole grid for it and every lower one.
+
+    The walk also stops at the first height whose energy floor already
+    scores worse than the best candidate so far. Every sequence of band
+    (h, w) at e_max ends at energy e_max - 8*(h-1) or above (the final
+    column's window floor), and the answer lies at or above the search's
+    start, so that floor over n bounds the band's e2 from below, and the
+    score is at least its e2 term. A lower height starts no lower and
+    drops less, so its floor is higher still. The test is strict, so a
+    pruned band cannot tie the best score.
     """
     ess_e_max = min_emax_for_bits(n_amplitudes, alphabet, k)
     ess = exact_metrics(
         build_full_trellis(TrellisParams(n_amplitudes, alphabet, ess_e_max))
     )
-    candidates = []
+    candidates, best = [], math.inf
     for w in SEARCH_WIDTHS:
         e_max = ess_e_max
         for h in reversed(SEARCH_HEIGHTS):
+            floor = (e_max - 8 * (h - 1)) / n_amplitudes
+            if floor > 0 and (compare_db(floor, ess.e2) - TARGET_E2_DB) / TOL_E2_DB > best:
+                break
             band = BandParams(h, w)
             try:
                 e_max = min_emax_for_bits(
@@ -265,6 +277,7 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
                 band, e_max, ess_e_max, ess, banded,
                 delta_e2, delta_var, banded.kurtosis / ess.kurtosis, score,
             ))
+            best = min(best, score)
     if not candidates:
         raise InfeasibleRateError(
             f"no band in the search grid reaches k={k} with reduced kurtosis"

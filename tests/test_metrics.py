@@ -13,6 +13,7 @@ from bandshape.metrics import (
     TOL_E2_DB,
     TOL_VAR_DB,
     BandOperatingPoint,
+    ShapingMetrics,
     compare_db,
     compare_trellises,
     exact_metrics,
@@ -259,13 +260,14 @@ class TestOperatingPointSearch:
         assert math.isfinite(op.delta_var_db)
         assert math.isfinite(op.score)
 
-    @pytest.mark.parametrize("n, k", [(16, 24), (24, 36)])
+    @pytest.mark.parametrize("n, k", [(8, 9), (16, 24), (24, 36), (54, 81), (108, 162)])
     def test_matches_every_geometry_scanned(self, n, k):
         assert find_band_operating_point(n, A1357, k) == operating_point_scan(n, A1357, k)
 
     def test_n108_walks_heights_down(self, monkeypatch):
-        # per width: heights 16 down to 6, the first that never holds 2^162,
-        # each search starting where the taller band's stopped
+        # per width: heights 16 down to 7, each search starting where the
+        # taller band's stopped; height 6 is never searched, because its
+        # energy floor alone scores worse than the best band found by then
         calls = []
 
         def record(n, alphabet, k, band=None, scan_from=None):
@@ -277,12 +279,48 @@ class TestOperatingPointSearch:
         assert calls[0] == (None, None)
         searches = calls[1:]
         assert [(b.height, b.width) for b, _ in searches] == [
-            (h, w) for w in range(3) for h in range(16, 5, -1)]
+            (h, w) for w in range(3) for h in range(16, 6, -1)]
+        assert all(b.height != 6 for b, _ in searches)
         for w in range(3):
             starts = [start for b, start in searches if b.width == w]
             hits = [min_emax_for_bits(108, A1357, 162, band=BandParams(h, w),
-                                      scan_from=860) for h in range(16, 6, -1)]
+                                      scan_from=860) for h in range(16, 7, -1)]
             assert starts == [860] + hits
+
+    def test_rejected_bands_do_not_tighten_the_prune(self, monkeypatch):
+        # at n=18 the tall bands keep the sphere's kurtosis and are rejected,
+        # though they score lower (4.96-6.27) than any candidate; only
+        # candidates bound the walk, so every height of every width is searched
+        calls = []
+
+        def record(n, alphabet, k, band=None, scan_from=None):
+            calls.append(band)
+            return min_emax_for_bits(n, alphabet, k, band=band, scan_from=scan_from)
+
+        monkeypatch.setattr(metrics, "min_emax_for_bits", record)
+        find_band_operating_point(18, A1357, 14)
+        assert [(b.height, b.width) for b in calls[1:]] == [
+            (h, w) for w in SEARCH_WIDTHS for h in reversed(SEARCH_HEIGHTS)]
+
+    def test_floor_tying_the_best_score_is_still_searched(self, monkeypatch):
+        # a tie goes to the lower band, so only a floor scoring strictly worse
+        # than the best may end the walk. Fakes put bands (2,0) and (1,0) at
+        # e_max 96 with every sequence ending there (e2 = 96/8, the (1,0)
+        # floor) and zero the variance axis, so the floor ties the best
+        ess = ShapingMetrics((1,), (1.0,), 10.0, 200.0, 100.0, 2.0)
+        banded = ShapingMetrics((1,), (1.0,), 12.0, 244.0, 100.0, 1.7)
+        monkeypatch.setattr(metrics, "SEARCH_HEIGHTS", range(1, 3))
+        monkeypatch.setattr(metrics, "SEARCH_WIDTHS", range(0, 1))
+        monkeypatch.setattr(metrics, "TARGET_VAR_DB", 0.0)
+        monkeypatch.setattr(metrics, "min_emax_for_bits",
+                            lambda n, alphabet, k, band=None, scan_from=None:
+                            80 if band is None else 96)
+        monkeypatch.setattr(metrics, "build_full_trellis", lambda params: ess)
+        monkeypatch.setattr(metrics, "build_band_trellis", lambda params, band: banded)
+        monkeypatch.setattr(metrics, "exact_metrics", lambda m: m)
+        op = find_band_operating_point(8, A1357, 9)
+        assert op.band == BandParams(1, 0)
+        assert op.score == (compare_db(96 / 8, 10.0) - TARGET_E2_DB) / TOL_E2_DB
 
 
 def operating_point_scan(n, alphabet, k):

@@ -290,6 +290,24 @@ class TestBandTrellis:
         t = build_band_trellis(TrellisParams(3, A13, 8000003), BandParams(10**6, 0))
         assert table(t) == node_table(3, (1, 3), 8000003, (10**6, 0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 14),
+           st.sets(st.sampled_from((1, 3, 5, 7, 9)), min_size=1),
+           st.integers(1, 8))
+    def test_final_column_floor(self, data, n, amps, h):
+        # every sequence ends within 8*(h-1) of e_max, the energy floor that
+        # find_band_operating_point prunes on; its searches stay at or below
+        # n * a_max**2, where the final window's top is e_max itself
+        alphabet = Alphabet(tuple(sorted(amps)))
+        lo, hi = n * alphabet.squares[0], n * alphabet.squares[-1]
+        e_max = lo + 8 * data.draw(st.integers(0, (hi - lo) // 8), label="level")
+        w = data.draw(st.integers(0, n), label="width")
+        try:
+            t = build_band_trellis(TrellisParams(n, alphabet, e_max), BandParams(h, w))
+        except EmptyCodebookError:
+            return
+        assert min(t.back_columns[-1]) >= e_max - 8 * (h - 1)
+
     def test_width_exceeding_n_rejected(self):
         with pytest.raises(ParameterError):
             build_band_trellis(TrellisParams(3, A135, 27), BandParams(2, 4))
