@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .codec import deshape, shape_stream, whole_blocks
 from .errors import BandshapeError, ParameterError
@@ -231,6 +232,8 @@ def cmd_simulate(args) -> int:
         gamma_per_w_km=args.gamma, length_km=args.length,
         ref_wavelength_nm=args.wavelength,
     )
+    for power in powers[1:]:
+        replace(link, launch_power_dbm=power)  # each power's own range check
     # every setting is checked above, so a bad one fails before a load
     trellis_by_scheme: dict[str, Trellis] = {}
     for scheme in schemes:

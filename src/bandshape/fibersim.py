@@ -67,6 +67,20 @@ def _require_finite(params) -> None:
             raise ParameterError(f"{f.name}={value!r} must be finite")
 
 
+def _require_linear(name: str, value: float, offset_db: float = 0.0) -> None:
+    """Reject a dB setting whose linear value, 10**((value - offset_db)/10)
+    as the simulator takes it, is not a finite positive float, so that it
+    fails here and not after a span is propagated."""
+    try:
+        linear = 10 ** ((value - offset_db) / 10)
+    except OverflowError:
+        linear = math.inf
+    if not 0 < linear < math.inf:
+        raise ParameterError(
+            f"{name}={value!r} has no finite positive linear value ({linear!r})"
+        )
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Span parameters. Zero values are allowed where a test or receiver
@@ -85,6 +99,8 @@ class FiberParams:
             raise ParameterError("fiber parameters must be nonnegative")
         if self.ref_wavelength_nm <= 0:
             raise ParameterError("reference wavelength must be positive")
+        _require_linear("span loss alpha_db_per_km*length_km",
+                        self.alpha_db_per_km * self.length_km)
 
     @property
     def beta2_s2_per_m(self) -> float:
@@ -126,6 +142,8 @@ class LinkParams:
             raise ParameterError("step_km must be positive")
         if self.edfa_nf_db < 0:
             raise ParameterError("noise figure must be nonnegative")
+        _require_linear("edfa_nf_db", self.edfa_nf_db)
+        _require_linear("launch_power_dbm", self.launch_power_dbm, 30)
         if self.guard_symbols < 0:
             raise ParameterError("guard must be nonnegative")
         # checked here, so a short window fails before a span is propagated

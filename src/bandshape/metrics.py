@@ -175,6 +175,15 @@ def compare_db(x, y) -> float:
     return 10.0 * math.log10(x / y)
 
 
+def _trade_off(base: ShapingMetrics, other: ShapingMetrics) -> tuple[float, float, float]:
+    """other against base: the energy and energy-variance changes in dB and
+    the kurtosis ratio. Equal variances, zero ones included, differ by 0.0."""
+    delta_e2 = compare_db(other.e2, base.e2)
+    same_var = other.var_e == base.var_e
+    delta_var = 0.0 if same_var else compare_db(other.var_e, base.var_e)
+    return delta_e2, delta_var, other.kurtosis / base.kurtosis
+
+
 def compare_trellises(a: Trellis, b: Trellis) -> dict:
     """Side-by-side exact metrics with dB deltas (b relative to a)."""
     if a.params.n_amplitudes != b.params.n_amplitudes:
@@ -182,7 +191,7 @@ def compare_trellises(a: Trellis, b: Trellis) -> dict:
     if a.params.alphabet != b.params.alphabet:
         raise ParameterError("trellises differ in alphabet")
     ma, mb = exact_metrics(a), exact_metrics(b)
-    same_var = ma.var_e == mb.var_e
+    delta_e2, delta_var, kurtosis_ratio = _trade_off(ma, mb)
     return {
         "n": a.params.n_amplitudes,
         "alphabet": a.params.alphabet.amplitudes,
@@ -192,9 +201,9 @@ def compare_trellises(a: Trellis, b: Trellis) -> dict:
         "var_b": mb.var_e,
         "kurtosis_a": ma.kurtosis,
         "kurtosis_b": mb.kurtosis,
-        "delta_e2_db": compare_db(mb.e2, ma.e2),
-        "delta_var_db": 0.0 if same_var else compare_db(mb.var_e, ma.var_e),
-        "kurtosis_ratio": mb.kurtosis / ma.kurtosis,
+        "delta_e2_db": delta_e2,
+        "delta_var_db": delta_var,
+        "kurtosis_ratio": kurtosis_ratio,
     }
 
 
@@ -269,13 +278,12 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
             )
             if banded.kurtosis >= ess.kurtosis or banded.var_e == 0.0:
                 continue
-            delta_e2 = compare_db(banded.e2, ess.e2)
-            delta_var = compare_db(banded.var_e, ess.var_e)
+            delta_e2, delta_var, kurtosis_ratio = _trade_off(ess, banded)
             score = math.hypot((delta_e2 - TARGET_E2_DB) / TOL_E2_DB,
                                (delta_var - TARGET_VAR_DB) / TOL_VAR_DB)
             candidates.append(BandOperatingPoint(
                 band, e_max, ess_e_max, ess, banded,
-                delta_e2, delta_var, banded.kurtosis / ess.kurtosis, score,
+                delta_e2, delta_var, kurtosis_ratio, score,
             ))
             best = min(best, score)
     if not candidates:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import (
     EmptyCodebookError,
@@ -299,7 +299,7 @@ def _build(params: TrellisParams, band: BandParams | None,
            nodes: list[tuple[int, int]] | None = None) -> Trellis:
     """The nodes of _nodes (computed here unless given) with their backward
     counts, summed from the final column down one run of adjacent nodes at
-    a time.
+    a time, each run read straight from the column's mask, lowest first.
 
     A node's count is the sum of its children's, and a child absent from
     the next column's dict counts 0: a child of a node is reached from the
@@ -312,24 +312,22 @@ def _build(params: TrellisParams, band: BandParams | None,
     if nodes is None:
         nodes = _nodes(params, band)
     squares = params.alphabet.squares
-    runs = []  # per column, its nodes' energies as one range per run
-    for m, (base, mask) in enumerate(nodes):
-        e0 = m * squares[0] + 8 * base
-        bits = format(mask, "b")[::-1] + "0"  # bit g of mask at index g, then a stop
-        start, column = bits.find("1"), []
-        while start >= 0:
-            stop = bits.find("0", start)
-            column.append(range(e0 + 8 * start, e0 + 8 * stop, 8))
-            start = bits.find("1", stop)
-        runs.append(column)
-    back = [dict.fromkeys(chain.from_iterable(runs[-1]), 1)]
-    for column in reversed(runs[:-1]):
-        get, counts = back[-1].get, {}
-        for run in column:
-            lo, hi = run.start, run.stop
+    back, get = [], None
+    for m, (base, mask) in reversed(list(enumerate(nodes))):
+        e0, counts = m * squares[0] + 8 * base, {}
+        while mask:
+            low = mask & -mask
+            end = mask + low  # the carry clears the run and sets the bit above it
+            mask &= end
+            lo = e0 + 8 * (low.bit_length() - 1)
+            hi = e0 + 8 * ((end & -end).bit_length() - 1)
+            if get is None:  # the final column
+                counts.update(dict.fromkeys(range(lo, hi, 8), 1))
+                continue
             children = [map(get, range(lo + s, hi + s, 8), repeat(0)) for s in squares]
-            counts.update(zip(run, map(sum, zip(*children))))
+            counts.update(zip(range(lo, hi, 8), map(sum, zip(*children))))
         back.append(counts)
+        get = counts.get
     back.reverse()
     return Trellis(params, band, back)
 

@@ -461,6 +461,25 @@ class TestSimulate:
         assert message in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("extra, setting", [
+        (["--powers", "4000"], "launch_power_dbm=4000.0"),
+        (["--powers", "0:2000:4000"], "launch_power_dbm=4000.0"),  # not the first
+        (["--powers=-3300"], "launch_power_dbm=-3300.0"),
+        (["--powers=2", "--nf", "4000"], "edfa_nf_db=4000.0"),
+        (["--powers=2", "--alpha", "20"], "alpha_db_per_km*length_km=4100.0"),
+    ])
+    def test_db_setting_outside_float_range(self, tmp_path, capsys, extra, setting):
+        # the trellis file does not exist, so an error that names it would
+        # mean a load was tried before the setting was checked
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--trellis-ess", str(tmp_path / "no-trellis.txt"),
+                   "--schemes", "ess", "--out", str(out), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert setting in err and "no-trellis" not in err
+        assert not out.exists()
+
     def test_header_echoes_every_default(self, tmp_path, monkeypatch):
         # no setting flag is given, and the sweep itself is not the subject
         monkeypatch.setattr(cli, "run_sweep", lambda *args: [])

@@ -587,6 +587,28 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match=f"{field}=.* must be finite"):
             small_link(**{field: bad})
 
+    @pytest.mark.parametrize("field, value", [
+        ("launch_power_dbm", 4000.0),  # 10**397 W overflows
+        ("launch_power_dbm", -3300.0),  # 10**-333 W underflows to 0
+        ("edfa_nf_db", 4000.0),
+    ])
+    def test_link_db_outside_float_range_rejected(self, field, value):
+        with pytest.raises(ParameterError,
+                           match=f"{field}={value!r} has no finite positive linear"):
+            small_link(**{field: value})
+
+    def test_link_db_inside_float_range_accepted(self):
+        # 10**307 and 10**-307 W, and a noise figure of 10**307, are floats
+        for power in (3100.0, -3040.0):
+            assert small_link(launch_power_dbm=power).launch_power_dbm == power
+        assert small_link(edfa_nf_db=3070.0).edfa_nf_db == 3070.0
+
+    def test_fiber_span_loss_outside_float_range_rejected(self):
+        # 4,100 dB over 205 km; the amplifier gain that undoes it overflows
+        with pytest.raises(ParameterError, match="span loss .*=4100.0 has no finite"):
+            replace(SPAN_FIBER, alpha_db_per_km=20.0, length_km=205.0)
+        assert replace(SPAN_FIBER, alpha_db_per_km=15.0, length_km=205.0).length_km == 205.0
+
     def test_nonfinite_rail_rejected(self):
         i_rail, q_rail = uniform_rails(4096)
         q_rail = q_rail.astype(float)

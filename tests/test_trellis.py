@@ -800,8 +800,8 @@ class TestSerialization:
         assert len(text) == 166 and t.num_sequences == 8
         assert table(u) == table(t)
         # counts are summed over the nodes, not over every level of a window
-        assert traced_peak(build_full_trellis, params) < 32 << 20
-        assert traced_peak(deserialize, text) < 32 << 20
+        assert traced_peak(build_full_trellis, params) < 16 << 20
+        assert traced_peak(deserialize, text) < 16 << 20
 
     def test_long_alphabet_round_trip(self):
         # 100,000 amplitudes: a node sums its children side by side, so the
