@@ -14,9 +14,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .codec import deshape, shape_stream, whole_blocks
+from .codec import blocks_to_bytes, deshape, shape_stream
 from .errors import BandshapeError, ParameterError
-from .fibersim import FiberParams, LinkParams, run_sweep
+from .fibersim import FiberParams, LinkParams, ase_variance, run_sweep
 from .metrics import compare_trellises, exact_metrics, sampled_metrics
 from .trellis import (
     Trellis,
@@ -115,14 +115,12 @@ def cmd_shape(args) -> int:
     trellis = load_trellis(args.trellis)
     with open(args.infile, "rb") as fh:
         payload = fh.read()
-    # frame before opening --out, so a payload that does not frame leaves
-    # no partial amplitude file behind
-    whole_blocks(max_shaping_bits(trellis), len(payload))
+    # framed before --out opens, so a bad payload leaves no partial file
+    sequences = shape_stream(trellis, payload)
+    blocks = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        def emit(seq: tuple[int, ...]) -> None:
+        for blocks, seq in enumerate(sequences, start=1):
             fh.write(" ".join(map(str, seq)) + "\n")
-
-        blocks = shape_stream(trellis, payload, emit)
     _log(f"shaped {blocks} blocks from {len(payload)} bytes")
     return 0
 
@@ -145,15 +143,10 @@ def cmd_deshape(args) -> int:
             indices.append(deshape(trellis, seq))
         except (ValueError, BandshapeError) as exc:
             raise ParameterError(f"line {lineno}: {exc}") from exc
-    # format() cannot print zero digits, so a k=0 block needs the branch
-    bits = "".join(format(i, f"0{k}b") for i in indices) if k else ""
-    pad = -len(bits) % 8
-    # the leading "0" lets an empty payload parse, to no bytes
-    data = int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
     with open(args.out, "wb") as fh:
-        fh.write(data)
-    if pad:
-        _log(f"note: {len(bits)} bits zero-padded to a byte boundary")
+        fh.write(blocks_to_bytes(k, indices))
+    if k * len(indices) % 8:
+        _log(f"note: {k * len(indices)} bits zero-padded to a byte boundary")
     _log(f"deshaped {len(indices)} sequences")
     return 0
 
@@ -234,15 +227,18 @@ def cmd_simulate(args) -> int:
     )
     for power in powers[1:]:
         replace(link, launch_power_dbm=power)  # each power's own range check
-    # every setting is checked above, so a bad one fails before a load
-    trellis_by_scheme: dict[str, Trellis] = {}
+    # the amplifier noise does not depend on the launch power: one check
+    ase_variance(link.sample_rate_hz, fiber.alpha_db_per_km * fiber.length_km,
+                 link.edfa_nf_db, fiber.ref_wavelength_nm)
     for scheme in schemes:
-        path = getattr(args, f"trellis_{scheme}", None)
-        if path is None:
+        if getattr(args, f"trellis_{scheme}", None) is None:
             raise ParameterError(
                 f"scheme {scheme!r} needs --trellis-{scheme} (known: ess, bess)"
             )
-        trellis_by_scheme[scheme] = load_trellis(path)
+    # every setting is checked above, so a bad one fails before a load
+    trellis_by_scheme: dict[str, Trellis] = {
+        scheme: load_trellis(getattr(args, f"trellis_{scheme}")) for scheme in schemes
+    }
     _log(f"sweep: schemes={schemes} powers={powers} seeds={args.seeds}")
     # open --out before the sweep, so a path that cannot be written fails
     # before any propagation, and remove it again if the sweep fails

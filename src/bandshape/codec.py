@@ -14,7 +14,7 @@ bit-string order.
 from __future__ import annotations
 
 import operator
-from typing import Callable
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     FramingError,
@@ -99,19 +99,26 @@ def deshape(trellis: Trellis, seq) -> int:
     return index
 
 
-def shape_stream(trellis: Trellis, data: bytes,
-                 block_handler: Callable[[tuple[int, ...]], None]) -> int:
-    """Cut a payload into MSB-first k-bit blocks and shape each in order.
-
-    Returns the number of blocks emitted. A trailing partial block raises
-    FramingError before any block is emitted; nothing is padded implicitly.
-    """
+def shape_stream(trellis: Trellis, data: bytes) -> Iterator[tuple[int, ...]]:
+    """Check a payload's framing now, then shape its MSB-first k-bit blocks
+    lazily: a trailing partial block raises FramingError; nothing is padded."""
     k = max_shaping_bits(trellis)
     blocks = whole_blocks(k, len(data))
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    for i in range(blocks):
-        block_handler(shape(trellis, int(bits[i * k:(i + 1) * k], 2)))
-    return blocks
+    return (shape(trellis, int(bits[i * k:(i + 1) * k], 2)) for i in range(blocks))
+
+
+def blocks_to_bytes(k: int, blocks: Iterable[int]) -> bytes:
+    """Pack block values, each in [0, 2**k), MSB-first: shape_stream's framing
+    inverted, the last byte zero-padded where the bits do not fill it."""
+    values = list(blocks)
+    if any(not 0 <= v < 1 << k for v in values):
+        raise ParameterError(f"a block does not fit in k={k} bits")
+    # format() cannot print zero digits, so a k=0 block needs the branch
+    bits = "".join(format(v, f"0{k}b") for v in values) if k else ""
+    pad = -len(bits) % 8
+    # the leading "0" lets an empty payload parse, to no bytes
+    return int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
 
 
 def whole_blocks(k: int, n_bytes: int) -> int:

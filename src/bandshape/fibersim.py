@@ -301,22 +301,35 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
     return u
 
 
+def ase_variance(sample_rate_hz: float, gain_db: float, nf_db: float,
+                 ref_wavelength_nm: float = 1550.0) -> float:
+    """Total complex ASE noise variance that `edfa` adds: the noise PSD
+    S = n_sp (G-1) h nu, with n_sp = NF_lin / 2, times the sample rate.
+
+    Raises ParameterError when it is not finite, as at a large noise figure
+    and gain, whose product overflows although each factor is finite.
+    """
+    n_sp = 10 ** (nf_db / 10) / 2
+    nu = SPEED_OF_LIGHT / (ref_wavelength_nm * 1e-9)
+    var = n_sp * (10 ** (gain_db / 10) - 1) * PLANCK * nu * sample_rate_hz
+    if not math.isfinite(var):
+        raise ParameterError(
+            f"noise figure edfa_nf_db={nf_db!r} at {gain_db!r} dB of gain gives "
+            f"an ASE noise variance of {var!r}"
+        )
+    return var
+
+
 def edfa(samples, sample_rate_hz: float, gain_db: float, nf_db: float, seed,
          ref_wavelength_nm: float = 1550.0) -> np.ndarray:
-    """Flat amplifier with single-polarization ASE noise.
-
-    Noise PSD S = n_sp (G-1) h nu with n_sp = NF_lin / 2; total complex
-    noise variance is S times the sample rate. Unity gain adds nothing.
-    """
+    """Flat amplifier with single-polarization ASE noise of variance
+    `ase_variance`. Unity gain adds nothing."""
     if gain_db < 0:
         raise ParameterError("EDFA gain must be >= 1 (0 dB)")
     g = 10 ** (gain_db / 10)
     out = np.asarray(samples, dtype=complex) * math.sqrt(g)
     if g > 1:
-        n_sp = 10 ** (nf_db / 10) / 2
-        nu = SPEED_OF_LIGHT / (ref_wavelength_nm * 1e-9)
-        psd = n_sp * (g - 1) * PLANCK * nu
-        var = psd * sample_rate_hz
+        var = ase_variance(sample_rate_hz, gain_db, nf_db, ref_wavelength_nm)
         rng = np.random.default_rng(seed)
         scale = math.sqrt(var / 2)
         out = out + scale * (
@@ -348,6 +361,11 @@ def effective_snr(tx_symbols, rx_symbols) -> float:
     a = np.vdot(tx, rx) / denom
     err_power = np.mean(np.abs(rx - a * tx) ** 2)
     sig_power = abs(a) ** 2 * np.mean(np.abs(tx) ** 2)
+    if not (math.isfinite(sig_power) and math.isfinite(err_power)):
+        raise NumericalError(
+            f"SNR estimate is not finite: signal power {sig_power!r}, "
+            f"error power {err_power!r}"
+        )
     if err_power == 0:
         return 60.0
     return min(10 * math.log10(sig_power / err_power), 60.0)
@@ -376,6 +394,10 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
         )
     if not (np.isfinite(i_rail[:n]).all() and np.isfinite(q_rail[:n]).all()):
         raise ParameterError("amplitude rails must be finite")
+    rate = link.sample_rate_hz
+    gain_db = fiber.alpha_db_per_km * fiber.length_km
+    # a noise variance that overflows fails here, not after the span
+    ase_variance(rate, gain_db, link.edfa_nf_db, fiber.ref_wavelength_nm)
     ss_signs, ss_ase = np.random.SeedSequence(link.seed).spawn(2)
     rng = np.random.default_rng(ss_signs)
     tx = pasmap.normalize(
@@ -385,14 +407,12 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
         )
     )
     taps = rrc_taps(link.rrc_rolloff, link.filter_span_symbols, link.sps)
-    rate = link.sample_rate_hz
     scaled = _scale_to_power(modulate(tx, link.sps, taps), link.launch_power_dbm)
     # zero-pad to an FFT-friendly length: a dark guard interval that keeps
     # pocketfft off its slow large-prime path and absorbs the circular wrap
     padded = np.zeros(next_fast_len(scaled.size), dtype=complex)
     padded[: scaled.size] = scaled
     u = ssfm_span(padded, rate, fiber, link.step_km)
-    gain_db = fiber.alpha_db_per_km * fiber.length_km
     u = edfa(u, rate, gain_db, link.edfa_nf_db, ss_ase, fiber.ref_wavelength_nm)
     u = cd_compensate(u, rate, fiber)
     rx = demodulate(u, taps, link.sps)[:n]

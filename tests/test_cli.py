@@ -480,6 +480,32 @@ class TestSimulate:
         assert setting in err and "no-trellis" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("nf", ["3050", "3080"])
+    def test_noise_overflow_fails_before_trellis_loads(self, tmp_path, capsys, nf):
+        # each factor of the ASE variance is finite, but with the span's 41 dB
+        # of gain their product is not; the run once wrote an SNR of nan
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--trellis-ess", str(tmp_path / "no-trellis.txt"),
+                   "--powers", "0", "--nf", nf, "--burst", "2048", "--guard", "256",
+                   "--sps", "4", "--step-km", "41", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"noise figure edfa_nf_db={float(nf)!r}" in err
+        assert "no-trellis" not in err
+        assert not out.exists()
+
+    def test_missing_scheme_trellis_fails_before_any_load(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--schemes", "ess,bess", "--powers", "0",
+                   "--trellis-ess", str(tmp_path / "no-trellis.txt"),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--trellis-bess" in err and "no-trellis" not in err
+        assert not out.exists()
+
     def test_header_echoes_every_default(self, tmp_path, monkeypatch):
         # no setting flag is given, and the sweep itself is not the subject
         monkeypatch.setattr(cli, "run_sweep", lambda *args: [])

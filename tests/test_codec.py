@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandshape.codec import (
+    blocks_to_bytes,
     decode_index,
     deshape,
     encode_index,
@@ -146,22 +150,17 @@ class TestShapeDeshape:
 class TestShapeStream:
     def test_two_blocks(self, toy):
         # 24 bits, MSB first: blocks 000, 111, then six 000 blocks
-        out = []
-        n = shape_stream(toy, bytes([0b00011100, 0, 0]), out.append)
-        assert n == 8
+        out = list(shape_stream(toy, bytes([0b00011100, 0, 0])))
         assert out == [(1, 1, 1), (3, 1, 3)] + [(1, 1, 1)] * 6
 
     def test_empty(self, toy):
-        out = []
-        assert shape_stream(toy, b"", out.append) == 0
-        assert out == []
+        assert list(shape_stream(toy, b"")) == []
 
     def test_partial_block(self, toy):
-        # 8 bits, k=3: two trailing bits, raised before the two whole blocks
-        out = []
+        # 8 bits, k=3: two trailing bits, raised when called, before the
+        # result is iterated
         with pytest.raises(FramingError):
-            shape_stream(toy, b"\x1f", out.append)
-        assert out == []
+            shape_stream(toy, b"\x1f")
 
     def test_many_random_blocks_round_trip(self):
         import random
@@ -171,11 +170,50 @@ class TestShapeStream:
         rng = random.Random(1234)
         blocks = [rng.getrandbits(k) for _ in range(10_000)]
         payload = bits_to_bytes([b for i in blocks for b in index_to_bits(i, k)])
-        got = []
-        shape_stream(trellis, payload, got.append)
+        got = list(shape_stream(trellis, payload))
         assert len(got) == len(blocks)
         for block, seq in zip(blocks, got):
             assert deshape(trellis, seq) == block
+
+
+# (n, alphabet, e_max, band) of trellises with k = 0, 3 and 5; the last has
+# gaps between the nodes of its columns
+FRAMED = ((1, (1,), 1, None), (3, (1, 3, 5), 27, None), GAPPED[3])
+
+
+class TestFraming:
+    """shape_stream's framing and its inverse, blocks_to_bytes, against the
+    per-bit packers of the oracles."""
+
+    @pytest.fixture(scope="class", params=FRAMED, ids=["k0", "toy", "gapped"])
+    def framed(self, request):
+        return _gapped_trellis(*request.param)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_whole_bytes_round_trip(self, framed, data):
+        k = max_shaping_bits(framed)
+        unit = math.lcm(k, 8) // 8  # bytes in the smallest whole-block payload
+        payload = data.draw(st.lists(st.binary(min_size=unit, max_size=unit),
+                                     max_size=4).map(b"".join))
+        blocks = [deshape(framed, seq) for seq in shape_stream(framed, payload)]
+        assert len(blocks) * k == 8 * len(payload)
+        assert blocks_to_bytes(k, blocks) == payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_partial_byte_zero_padded(self, framed, data):
+        k = max_shaping_bits(framed)
+        blocks = data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=20))
+        sequences = [shape(framed, b) for b in blocks]
+        want = bits_to_bytes([bit for b in blocks for bit in index_to_bits(b, k)])
+        assert blocks_to_bytes(k, (deshape(framed, s) for s in sequences)) == want
+
+    @pytest.mark.parametrize("k, blocks", [(3, [1, 8]), (3, [-1]), (0, [0, 1])])
+    def test_block_outside_k_bits_rejected(self, k, blocks):
+        # 8 would take four bits and shift every later block by one
+        with pytest.raises(ParameterError, match=f"k={k}"):
+            blocks_to_bytes(k, blocks)
 
 
 class TestBijectivityGrid:

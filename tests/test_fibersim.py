@@ -290,6 +290,12 @@ class TestEdfa:
         with pytest.raises(ParameterError):
             edfa(wf, RATE, -1.0, 5.0, seed=0)
 
+    def test_noise_variance_overflow_rejected(self):
+        # 10**307 and 10**4.1 are floats, their product is not
+        wf = random_qam_waveform(seed=13)
+        with pytest.raises(ParameterError, match="noise figure edfa_nf_db=3070.0"):
+            edfa(wf, RATE, 41.0, 3070.0, seed=0)
+
 
 class TestCdCompensate:
     def test_inverts_dispersion(self):
@@ -348,6 +354,13 @@ class TestEffectiveSnr:
         with pytest.raises(ParameterError):
             effective_snr(z, z)
 
+    def test_nonfinite_estimate_rejected(self):
+        tx = self._qpsk(2000)
+        rx = tx.copy()
+        rx[7] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            effective_snr(tx, rx)
+
 
 def small_link(**kw):
     defaults = dict(
@@ -398,6 +411,15 @@ class TestRunLink:
     def test_insufficient_amplitudes(self):
         with pytest.raises(ParameterError):
             run_link([1, 3], [1, 3], small_link(), SPAN_FIBER)
+
+    def test_noise_overflow_fails_before_the_span(self, monkeypatch):
+        def no_span(*args):
+            raise AssertionError("no span may be propagated")
+
+        monkeypatch.setattr(fibersim, "ssfm_span", no_span)
+        i_rail, q_rail = uniform_rails(4096)
+        with pytest.raises(ParameterError, match="noise figure"):
+            run_link(i_rail, q_rail, small_link(edfa_nf_db=3070.0), SPAN_FIBER)
 
     def test_two_dimensional_rail_rejected(self):
         # rails are flat; slicing a 2-D rail would silently take whole rows
