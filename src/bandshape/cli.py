@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from .codec import blocks_to_bytes, deshape, shape_stream
 from .errors import BandshapeError, ParameterError
-from .fibersim import FiberParams, LinkParams, ase_variance, run_sweep
 from .metrics import compare_trellises, exact_metrics, sampled_metrics
 from .trellis import (
     Trellis,
@@ -33,6 +32,7 @@ from .trellis import (
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 12345
+SCHEMES = ("ess", "bess")
 
 
 def _log(msg: str) -> None:
@@ -201,13 +201,27 @@ _SIM_DEFAULTS = {
 }
 
 
+def run_sweep(*args, **kwargs):
+    """`fibersim.run_sweep`, imported on the first call so that only
+    `simulate` loads numpy. `cmd_simulate` calls it through this module, so
+    a test can substitute a fake sweep here and a tracer can wrap it."""
+    from .fibersim import run_sweep
+    return run_sweep(*args, **kwargs)
+
+
 def cmd_simulate(args) -> int:
+    from .fibersim import FiberParams, LinkParams, ase_variance
+
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ParameterError("no schemes requested")
     if len(set(schemes)) < len(schemes):
         raise ParameterError(f"--schemes names a scheme twice: {args.schemes!r}")
-    for scheme in ("ess", "bess"):
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ParameterError(
+                f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
+    for scheme in SCHEMES:
         if getattr(args, f"trellis_{scheme}") is not None and scheme not in schemes:
             raise ParameterError(
                 f"--trellis-{scheme} is given but --schemes {args.schemes!r} "
@@ -231,9 +245,10 @@ def cmd_simulate(args) -> int:
     ase_variance(link.sample_rate_hz, fiber.alpha_db_per_km * fiber.length_km,
                  link.edfa_nf_db, fiber.ref_wavelength_nm)
     for scheme in schemes:
-        if getattr(args, f"trellis_{scheme}", None) is None:
+        if getattr(args, f"trellis_{scheme}") is None:
             raise ParameterError(
-                f"scheme {scheme!r} needs --trellis-{scheme} (known: ess, bess)"
+                f"scheme {scheme!r} needs --trellis-{scheme} "
+                f"(known: {', '.join(SCHEMES)})"
             )
     # every setting is checked above, so a bad one fails before a load
     trellis_by_scheme: dict[str, Trellis] = {

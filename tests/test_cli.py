@@ -506,6 +506,21 @@ class TestSimulate:
         assert "--trellis-bess" in err and "no-trellis" not in err
         assert not out.exists()
 
+    def test_unknown_scheme_named_before_any_load(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # there is no --trellis-foo flag to ask for
+        def no_load(path):
+            raise AssertionError("no trellis may load")
+
+        monkeypatch.setattr(cli, "load_trellis", no_load)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--schemes", "ess,foo", "--powers", "0",
+                   "--trellis-ess", str(tmp_path / "a.trellis"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown scheme 'foo' (known: ess, bess)\n"
+        assert not out.exists()
+
     def test_header_echoes_every_default(self, tmp_path, monkeypatch):
         # no setting flag is given, and the sweep itself is not the subject
         monkeypatch.setattr(cli, "run_sweep", lambda *args: [])
