@@ -228,6 +228,8 @@ def cmd_simulate(args) -> int:
                 f"does not name {scheme!r}"
             )
     powers = _parse_powers(args.powers)
+    if args.seeds < 1:
+        raise ParameterError(f"seed sweep needs at least one seed, got {args.seeds}")
     link = LinkParams(
         baud_rate_gbd=args.baud, rrc_rolloff=args.rolloff, edfa_nf_db=args.nf,
         launch_power_dbm=powers[0], sps=args.sps, step_km=args.step_km,

@@ -103,8 +103,12 @@ def shape_stream(trellis: Trellis, data: bytes) -> Iterator[tuple[int, ...]]:
     """Check a payload's framing now, then shape its MSB-first k-bit blocks
     lazily: a trailing partial block raises FramingError; nothing is padded."""
     k = max_shaping_bits(trellis)
-    blocks = whole_blocks(k, len(data))
-    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    n_bits = 8 * len(data)
+    blocks = n_bits // k if k else 0
+    trailing = n_bits - blocks * k  # k = 0: any byte at all
+    if trailing:
+        raise FramingError(f"{trailing} trailing bits do not fill a k={k} block")
+    bits = format(int.from_bytes(data, "big"), f"0{n_bits}b")
     return (shape(trellis, int(bits[i * k:(i + 1) * k], 2)) for i in range(blocks))
 
 
@@ -119,16 +123,3 @@ def blocks_to_bytes(k: int, blocks: Iterable[int]) -> bytes:
     pad = -len(bits) % 8
     # the leading "0" lets an empty payload parse, to no bytes
     return int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
-
-
-def whole_blocks(k: int, n_bytes: int) -> int:
-    """Number of k-bit blocks in an n_bytes payload.
-
-    Raises FramingError when bits are left over (k = 0: any byte at all).
-    """
-    k, n_bits = _integer(k, "k"), 8 * _integer(n_bytes, "n_bytes")
-    blocks = n_bits // k if k else 0
-    trailing = n_bits - blocks * k
-    if trailing:
-        raise FramingError(f"{trailing} trailing bits do not fill a k={k} block")
-    return blocks

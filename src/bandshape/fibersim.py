@@ -108,10 +108,6 @@ class FiberParams:
         d_si = self.dispersion_ps_nm_km * 1e-6  # s/m^2
         return -d_si * lam * lam / (2 * math.pi * SPEED_OF_LIGHT)
 
-    @property
-    def carrier_freq_hz(self) -> float:
-        return SPEED_OF_LIGHT / (self.ref_wavelength_nm * 1e-9)
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -155,12 +151,8 @@ class LinkParams:
             )
 
     @property
-    def symbol_rate_hz(self) -> float:
-        return self.baud_rate_gbd * 1e9
-
-    @property
     def sample_rate_hz(self) -> float:
-        return self.symbol_rate_hz * self.sps
+        return self.baud_rate_gbd * 1e9 * self.sps
 
 
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
@@ -320,18 +312,19 @@ def ase_variance(sample_rate_hz: float, gain_db: float, nf_db: float,
     return var
 
 
-def edfa(samples, sample_rate_hz: float, gain_db: float, nf_db: float, seed,
-         ref_wavelength_nm: float = 1550.0) -> np.ndarray:
-    """Flat amplifier with single-polarization ASE noise of variance
-    `ase_variance`. Unity gain adds nothing."""
+def edfa(samples, gain_db: float, noise_var: float, seed) -> np.ndarray:
+    """Flat amplifier that adds single-polarization complex Gaussian noise
+    of total variance noise_var (`ase_variance` of the link). A zero
+    variance adds nothing."""
     if gain_db < 0:
         raise ParameterError("EDFA gain must be >= 1 (0 dB)")
-    g = 10 ** (gain_db / 10)
-    out = np.asarray(samples, dtype=complex) * math.sqrt(g)
-    if g > 1:
-        var = ase_variance(sample_rate_hz, gain_db, nf_db, ref_wavelength_nm)
+    if not 0 <= noise_var < math.inf:
+        raise ParameterError(
+            f"noise variance {noise_var!r} must be finite and nonnegative")
+    out = np.asarray(samples, dtype=complex) * math.sqrt(10 ** (gain_db / 10))
+    if noise_var > 0:
         rng = np.random.default_rng(seed)
-        scale = math.sqrt(var / 2)
+        scale = math.sqrt(noise_var / 2)
         out = out + scale * (
             rng.normal(size=out.size) + 1j * rng.normal(size=out.size)
         )
@@ -397,7 +390,8 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     rate = link.sample_rate_hz
     gain_db = fiber.alpha_db_per_km * fiber.length_km
     # a noise variance that overflows fails here, not after the span
-    ase_variance(rate, gain_db, link.edfa_nf_db, fiber.ref_wavelength_nm)
+    noise_var = ase_variance(rate, gain_db, link.edfa_nf_db,
+                             fiber.ref_wavelength_nm)
     ss_signs, ss_ase = np.random.SeedSequence(link.seed).spawn(2)
     rng = np.random.default_rng(ss_signs)
     tx = pasmap.normalize(
@@ -413,7 +407,7 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     padded = np.zeros(next_fast_len(scaled.size), dtype=complex)
     padded[: scaled.size] = scaled
     u = ssfm_span(padded, rate, fiber, link.step_km)
-    u = edfa(u, rate, gain_db, link.edfa_nf_db, ss_ase, fiber.ref_wavelength_nm)
+    u = edfa(u, gain_db, noise_var, ss_ase)
     u = cd_compensate(u, rate, fiber)
     rx = demodulate(u, taps, link.sps)[:n]
     g = link.guard_symbols
@@ -472,9 +466,7 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
             for p in powers:
                 run = replace(link, launch_power_dbm=float(p), seed=derived)
                 jobs.append((scheme, run, i_rail, q_rail))
-    if not jobs:
-        return []
-    pool = ThreadPoolExecutor(max_workers=min(len(jobs), usable_cores()))
+    pool = ThreadPoolExecutor(max_workers=usable_cores())
     try:
         # run_link is looked up in this module's namespace, where a tracer
         # or a test may have replaced it

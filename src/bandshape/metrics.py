@@ -177,10 +177,16 @@ def compare_db(x, y) -> float:
 
 def _trade_off(base: ShapingMetrics, other: ShapingMetrics) -> tuple[float, float, float]:
     """other against base: the energy and energy-variance changes in dB and
-    the kurtosis ratio. Equal variances, zero ones included, differ by 0.0."""
+    the kurtosis ratio. Equal variances, zero ones included, differ by 0.0;
+    a zero variance against a positive one differs by -inf, and the reverse
+    by inf."""
     delta_e2 = compare_db(other.e2, base.e2)
-    same_var = other.var_e == base.var_e
-    delta_var = 0.0 if same_var else compare_db(other.var_e, base.var_e)
+    if other.var_e == base.var_e:
+        delta_var = 0.0
+    elif 0 in (other.var_e, base.var_e):
+        delta_var = math.inf if other.var_e else -math.inf
+    else:
+        delta_var = compare_db(other.var_e, base.var_e)
     return delta_e2, delta_var, other.kurtosis / base.kurtosis
 
 

@@ -347,6 +347,20 @@ class TestCompare:
         assert float(out["delta_var_db"]) == 0.0
         assert float(out["kurtosis_ratio"]) == 1.0
 
+    @pytest.mark.parametrize("order, want", [("ab", "-inf"), ("ba", "inf")])
+    def test_zero_variance_side(self, tmp_path, capsys, order, want):
+        # e_max 3 leaves only (1, 1, 1), whose energy variance is 0
+        paths = {"a": build_toy(tmp_path, "a.trellis"), "b": tmp_path / "b.trellis"}
+        assert main(["trellis", "build", "--n", "3", "--alphabet", "1,3,5",
+                     "--emax", "3", "--out", str(paths["b"])]) == 0
+        csv_path = tmp_path / "compare.csv"
+        capsys.readouterr()
+        assert main(["compare", "--a", str(paths[order[0]]),
+                     "--b", str(paths[order[1]]), "--csv", str(csv_path)]) == 0
+        assert kv(capsys.readouterr().out)["delta_var_db"] == want
+        keys, values = csv_path.read_text().splitlines()[1:]
+        assert dict(zip(keys.split(","), values.split(",")))["delta_var_db"] == want
+
     def test_mismatch_rejected(self, tmp_path, capsys):
         a = build_toy(tmp_path, "a.trellis")
         other = build_full_trellis(TrellisParams(4, Alphabet((1, 3, 5)), 36))
@@ -534,14 +548,18 @@ class TestSimulate:
         assert echoed == {key: str(value) for key, value in cli._SIM_DEFAULTS.items()}
 
     @pytest.mark.parametrize("flag", [["--seeds", "0"], ["--seeds=-2"]])
-    def test_empty_seed_sweep(self, tmp_path, capsys, flag):
-        trellis = self._small_trellis(tmp_path)
+    def test_empty_seed_sweep(self, tmp_path, capsys, monkeypatch, flag):
+        def no_load(path):
+            raise AssertionError("no trellis may load")
+
+        monkeypatch.setattr(cli, "load_trellis", no_load)
         out = tmp_path / "x.csv"
-        rc = main(["simulate", "--trellis-ess", str(trellis), "--schemes", "ess",
-                   "--powers=2", "--out", str(out), *flag])
+        rc = main(["simulate", "--trellis-ess", str(tmp_path / "a.trellis"),
+                   "--schemes", "ess", "--powers=2", "--out", str(out), *flag])
         assert rc == 2
-        # the sweep's progress line comes first
-        assert "\nerror: seed sweep needs at least one seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed sweep needs at least one seed")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_short_window_fails_before_propagation(self, tmp_path, capsys,

@@ -13,7 +13,6 @@ from bandshape.codec import (
     encode_index,
     shape,
     shape_stream,
-    whole_blocks,
 )
 from bandshape.errors import (
     FramingError,
@@ -142,9 +141,7 @@ class TestShapeDeshape:
             shape(toy, -1)
         with pytest.raises(ParameterError, match="integer"):
             shape(toy, 2.5)
-        with pytest.raises(ParameterError, match="integer"):
-            whole_blocks(2.5, 5)  # not 16.0 blocks
-        assert shape(toy, np.int64(7)) == (3, 1, 3) and whole_blocks(np.int64(5), 5) == 8
+        assert shape(toy, np.int64(7)) == (3, 1, 3)
 
 
 class TestShapeStream:

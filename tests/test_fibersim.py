@@ -15,6 +15,7 @@ from bandshape.fibersim import (
     FiberParams,
     LinkParams,
     _scale_to_power,
+    ase_variance,
     cd_compensate,
     demodulate,
     edfa,
@@ -262,15 +263,28 @@ class TestSsfm:
 class TestEdfa:
     def test_unity_gain_passthrough(self):
         wf = random_qam_waveform(seed=11)
-        out = edfa(wf, RATE, gain_db=0.0, nf_db=5.0, seed=1)
+        out = edfa(wf, 0.0, ase_variance(RATE, 0.0, 5.0), seed=1)
         np.testing.assert_array_equal(out, wf)
+
+    def test_noise_free_gain(self):
+        # the NLI-only field: the same amplification with no ASE drawn
+        wf = random_qam_waveform(seed=11)
+        for gain_db in (10.0, 41.0):
+            out = edfa(wf, gain_db, 0.0, seed=1)
+            np.testing.assert_array_equal(out, wf * math.sqrt(10 ** (gain_db / 10)))
+
+    @pytest.mark.parametrize("noise_var", [-1e-9, math.nan, math.inf])
+    def test_bad_noise_variance_rejected(self, noise_var):
+        wf = random_qam_waveform(seed=13)
+        with pytest.raises(ParameterError, match="noise variance"):
+            edfa(wf, 10.0, noise_var, seed=0)
 
     def test_noise_variance(self):
         n = 1_000_000
         rate = 800e9
         wf = np.zeros(n, dtype=complex)
         gain_db, nf_db = 20.0, 5.0
-        out = edfa(wf, rate, gain_db, nf_db, seed=2)
+        out = edfa(wf, gain_db, ase_variance(rate, gain_db, nf_db), seed=2)
         g = 10 ** (gain_db / 10)
         n_sp = 10 ** (nf_db / 10) / 2
         nu = 299792458.0 / 1550e-9
@@ -281,20 +295,20 @@ class TestEdfa:
 
     def test_same_seed_identical(self):
         wf = random_qam_waveform(seed=12)
-        a = edfa(wf, RATE, 10.0, 5.0, seed=3)
-        b = edfa(wf, RATE, 10.0, 5.0, seed=3)
+        var = ase_variance(RATE, 10.0, 5.0)
+        a = edfa(wf, 10.0, var, seed=3)
+        b = edfa(wf, 10.0, var, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_negative_gain_rejected(self):
         wf = random_qam_waveform(seed=13)
         with pytest.raises(ParameterError):
-            edfa(wf, RATE, -1.0, 5.0, seed=0)
+            edfa(wf, -1.0, 0.0, seed=0)
 
     def test_noise_variance_overflow_rejected(self):
         # 10**307 and 10**4.1 are floats, their product is not
-        wf = random_qam_waveform(seed=13)
         with pytest.raises(ParameterError, match="noise figure edfa_nf_db=3070.0"):
-            edfa(wf, RATE, 41.0, 3070.0, seed=0)
+            ase_variance(RATE, 41.0, 3070.0)
 
 
 class TestCdCompensate:
@@ -521,6 +535,13 @@ class TestRunSweep:
             with pytest.raises(NumericalError, match="non-finite samples"):
                 run_sweep({"ess": trellis}, powers=[0.0, 4.0], seeds=1,
                           link=link, fiber=SPAN_FIBER)
+
+    def test_empty_grid(self):
+        # no schemes or no powers: no link to run, so no rows
+        trellis = build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236))
+        for schemes, powers in (({}, [0.0]), ({"ess": trellis}, [])):
+            assert run_sweep(schemes, powers=powers, seeds=1,
+                             link=small_link(), fiber=SPAN_FIBER) == []
 
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_empty_seed_sweep_rejected(self, seeds):
