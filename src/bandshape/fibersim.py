@@ -20,6 +20,7 @@ import functools
 import math
 import os
 import random
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
@@ -225,16 +226,59 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     taps_spectrum = np.empty(n, dtype=complex)
     taps_spectrum[:half.size] = half
     taps_spectrum[half.size:] = half[n - half.size:0:-1].conj()
-    full = np.fft.ifft(np.fft.fft(samples, n) * taps_spectrum)
+    spectrum = np.fft.fft(samples, n)
+    spectrum *= taps_spectrum
+    full = np.fft.ifft(spectrum, out=spectrum)
     return full[taps.size - 1:size:sps]
 
 
 def _scale_to_power(samples: np.ndarray, power_dbm: float) -> np.ndarray:
+    """Scale samples in place to a mean power of power_dbm; returns them."""
     target_w = 10 ** ((power_dbm - 30) / 10)
     current = np.mean(np.abs(samples) ** 2)
     if current == 0:
         raise ParameterError("cannot set launch power of an all-zero waveform")
-    return samples * math.sqrt(target_w / current)
+    samples *= math.sqrt(target_w / current)
+    return samples
+
+
+def _dispersion_filter(n: int, sample_rate_hz: float, real: float,
+                       factors: tuple[float, ...]) -> np.ndarray:
+    """exp(real + 1j * w**2 * factors[0] * factors[1] ...) on the FFT grid
+    w = 2 pi fftfreq(n, 1 / sample_rate_hz), rounded factor by factor as
+    that expression is.
+
+    The imaginary part is built in the result's own buffer and exponentiated
+    there, so the grid never exists as a complex temporary.
+    """
+    filt = np.empty(n, dtype=complex)
+    phase = filt.imag
+    np.multiply(2 * np.pi, fftfreq(n, 1 / sample_rate_hz), out=phase)
+    np.square(phase, out=phase)
+    for factor in factors:
+        phase *= factor
+    filt.real = real
+    return np.exp(filt, out=filt)
+
+
+# Serializes _linear_filter's misses, so that links starting together build
+# each filter once and share it.
+_FILTER_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=4)  # a span needs at most 4 step lengths
+def _linear_filter(n: int, sample_rate_hz: float, fiber: FiberParams,
+                   dz_km: float) -> np.ndarray:
+    """The read-only spectrum filter of dz_km of dispersion and loss,
+    exp((0.5j beta2 w**2 - 0.5 alpha) dz_km), for n samples at
+    sample_rate_hz. A pure function of its arguments, so every link of a
+    sweep shares one array per step length."""
+    beta2_km = fiber.beta2_s2_per_m * 1e3  # s^2/km
+    alpha_km = fiber.alpha_db_per_km * math.log(10) / 10  # 1/km, power
+    filt = _dispersion_filter(n, sample_rate_hz, -(0.5 * alpha_km) * dz_km,
+                              (0.5 * beta2_km, dz_km))
+    filt.flags.writeable = False
+    return filt
 
 
 def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
@@ -257,19 +301,16 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
     steps = [step_km] * (n_steps - 1)
     steps.append(length - step_km * (n_steps - 1))
 
-    omega = 2 * np.pi * fftfreq(u.size, 1 / sample_rate_hz)
-    beta2_km = fiber.beta2_s2_per_m * 1e3  # s^2/km
-    alpha_km = fiber.alpha_db_per_km * math.log(10) / 10  # 1/km, power
     gamma = fiber.gamma_per_w_km
 
     filters: dict[float, np.ndarray] = {}
 
     def linear(dz_km: float) -> np.ndarray:
+        # step lengths equal to 12 digits share the filter of the first
         key = round(dz_km, 12)
         if key not in filters:
-            filters[key] = np.exp(
-                (0.5j * beta2_km * omega**2 - 0.5 * alpha_km) * dz_km
-            )
+            with _FILTER_LOCK:
+                filters[key] = _linear_filter(u.size, sample_rate_hz, fiber, dz_km)
         return filters[key]
 
     # u is this call's own copy, so every transform writes into it: one
@@ -325,17 +366,23 @@ def edfa(samples, gain_db: float, noise_var: float, seed) -> np.ndarray:
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         scale = math.sqrt(noise_var / 2)
-        out = out + scale * (
-            rng.normal(size=out.size) + 1j * rng.normal(size=out.size)
-        )
+        for part in (out.real, out.imag):  # the real draws, then the imaginary
+            draw = rng.normal(size=out.size)
+            draw *= scale
+            part += draw
     return out
 
 
 def cd_compensate(samples, sample_rate_hz: float, fiber: FiberParams) -> np.ndarray:
-    """Exact inverse of the span's dispersion (loss untouched)."""
-    omega = 2 * np.pi * fftfreq(len(samples), 1 / sample_rate_hz)
-    phase = 0.5 * fiber.beta2_s2_per_m * omega**2 * fiber.length_km * 1e3
-    return ifft(fft(samples) * np.exp(-1j * phase))
+    """Exact inverse of the span's dispersion (loss untouched); returns a
+    new array."""
+    # the filter first: its grid's temporaries are gone before the spectrum
+    filt = _dispersion_filter(
+        len(samples), sample_rate_hz, 0.0,
+        (0.5 * fiber.beta2_s2_per_m, fiber.length_km, 1e3, -1.0))
+    spectrum = fft(samples)
+    spectrum *= filt
+    return ifft(spectrum, out=spectrum)
 
 
 def effective_snr(tx_symbols, rx_symbols) -> float:
@@ -401,12 +448,16 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
         )
     )
     taps = rrc_taps(link.rrc_rolloff, link.filter_span_symbols, link.sps)
-    scaled = _scale_to_power(modulate(tx, link.sps, taps), link.launch_power_dbm)
-    # zero-pad to an FFT-friendly length: a dark guard interval that keeps
-    # pocketfft off its slow large-prime path and absorbs the circular wrap
-    padded = np.zeros(next_fast_len(scaled.size), dtype=complex)
-    padded[: scaled.size] = scaled
-    u = ssfm_span(padded, rate, fiber, link.step_km)
+    wave = modulate(tx, link.sps, taps)
+    # one launch buffer, zero-padded to an FFT-friendly length: a dark guard
+    # interval that keeps pocketfft off its slow large-prime path and absorbs
+    # the circular wrap. The wave is scaled in it; each stage after returns
+    # its own array, and rebinding u frees the one before.
+    u = np.zeros(next_fast_len(wave.size), dtype=complex)
+    u[:wave.size] = wave
+    _scale_to_power(u[:wave.size], link.launch_power_dbm)
+    del wave
+    u = ssfm_span(u, rate, fiber, link.step_km)
     u = edfa(u, gain_db, noise_var, ss_ase)
     u = cd_compensate(u, rate, fiber)
     rx = demodulate(u, taps, link.sps)[:n]
@@ -447,9 +498,10 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     stream through each scheme's codebook.
 
     The payloads are drawn here, in order; the links then run on a thread
-    pool as wide as the usable cores. Each link works on its own arrays,
-    and pocketfft and numpy's ufuncs release the GIL, so the links overlap
-    and every SNR is the one a plain loop gives. If a link raises, the
+    pool as wide as the usable cores. Each link works on its own arrays and
+    shares only the read-only span filters, and pocketfft and numpy's
+    ufuncs release the GIL, so the links overlap and every SNR is the one a
+    plain loop gives. If a link raises, the
     links not yet started are cancelled and the error of the first failed
     link in (scheme, seed, power) order propagates.
     """

@@ -8,9 +8,11 @@ band search's scan around those counts, and `forward_columns` takes a
 trellis's node set as given and counts the paths into it. The e_max search
 is checked against enumeration by `TestMinEmax.test_matches_bruteforce_scan`. The
 bit packers move one bit at a time, independently of the codec's
-binary-string slicing. The split-step references keep the plain numpy
-expressions and the out-of-place transforms that the in-place propagator
-must reproduce bit for bit.
+binary-string slicing. The split-step and link-stage references keep the
+plain numpy expressions and the out-of-place transforms that the in-place
+stages must reproduce bit for bit; `rk4ip_span` integrates the same
+equation by another method, so it agrees with the split-step span only to
+within their truncation errors.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
+from scipy.fft import fft, fftfreq, ifft, next_fast_len
 
 from bandshape.errors import InfeasibleRateError
 from bandshape.trellis import TrellisParams, _count_only
@@ -258,6 +260,27 @@ def kerr_phase_reference(samples, coeff):
     return samples
 
 
+def span_steps(length_km, step_km):
+    """The span's fixed steps, the last one shortened to end at length_km."""
+    n_steps = max(1, math.ceil(length_km / step_km - 1e-12))
+    steps = [step_km] * (n_steps - 1)
+    steps.append(length_km - step_km * (n_steps - 1))
+    return steps
+
+
+def linear_operator(n, sample_rate_hz, fiber):
+    """dz -> exp((0.5j beta2 w^2 - 0.5 alpha) dz): dispersion and loss over
+    dz km on the FFT grid of n samples, as one expression."""
+    omega = 2 * np.pi * fftfreq(n, 1 / sample_rate_hz)
+    beta2_km = fiber.beta2_s2_per_m * 1e3
+    alpha_km = fiber.alpha_db_per_km * math.log(10) / 10
+
+    def linear(dz_km):
+        return np.exp((0.5j * beta2_km * omega**2 - 0.5 * alpha_km) * dz_km)
+
+    return linear
+
+
 def ssfm_reference(samples, sample_rate_hz, fiber, step_km):
     """Symmetric split-step span with a fresh array from every transform.
 
@@ -265,17 +288,8 @@ def ssfm_reference(samples, sample_rate_hz, fiber, step_km):
     propagator under test, without its checks or its buffer reuse.
     """
     u = np.array(samples, dtype=complex)
-    length = fiber.length_km
-    n_steps = max(1, math.ceil(length / step_km - 1e-12))
-    steps = [step_km] * (n_steps - 1)
-    steps.append(length - step_km * (n_steps - 1))
-    omega = 2 * np.pi * fftfreq(u.size, 1 / sample_rate_hz)
-    beta2_km = fiber.beta2_s2_per_m * 1e3
-    alpha_km = fiber.alpha_db_per_km * math.log(10) / 10
-
-    def linear(dz_km):
-        return np.exp((0.5j * beta2_km * omega**2 - 0.5 * alpha_km) * dz_km)
-
+    steps = span_steps(fiber.length_km, step_km)
+    linear = linear_operator(u.size, sample_rate_hz, fiber)
     spectrum = fft(u)
     spectrum *= linear(steps[0] / 2)
     u = ifft(spectrum)
@@ -286,3 +300,61 @@ def ssfm_reference(samples, sample_rate_hz, fiber, step_km):
         spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
         u = ifft(spectrum)
     return u
+
+
+def rk4ip_span(samples, sample_rate_hz, fiber, step_km):
+    """The span by fourth-order Runge-Kutta in the interaction picture
+    (Hult, JLT 25(12), 2007): the split-step span's steps and linear
+    operator, but the Kerr term N(A) = j gamma |A|^2 A integrated by RK4
+    between half-step linear propagations rather than as a phase rotation.
+    """
+    u = np.array(samples, dtype=complex)
+    linear = linear_operator(u.size, sample_rate_hz, fiber)
+    gamma = fiber.gamma_per_w_km
+    halves = {}
+
+    def half_step(x, h):
+        if h not in halves:
+            halves[h] = linear(h / 2)
+        return ifft(fft(x) * halves[h])
+
+    def kerr(x, h):
+        return 1j * gamma * h * np.abs(x) ** 2 * x
+
+    for h in span_steps(fiber.length_km, step_km):
+        u_i = half_step(u, h)
+        k1 = half_step(kerr(u, h), h)
+        k2 = kerr(u_i + k1 / 2, h)
+        k3 = kerr(u_i + k2 / 2, h)
+        k4 = kerr(half_step(u_i + k3, h), h)
+        u = half_step(u_i + k1 / 6 + k2 / 3 + k3 / 3, h) + k4 / 6
+    return u
+
+
+def edfa_reference(samples, gain_db, noise_var, seed):
+    """Gain and ASE noise as one out-of-place expression: every real draw,
+    then every imaginary one."""
+    out = np.asarray(samples, dtype=complex) * math.sqrt(10 ** (gain_db / 10))
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(noise_var / 2)
+    return out + scale * (rng.normal(size=out.size) + 1j * rng.normal(size=out.size))
+
+
+def cd_compensate_reference(samples, sample_rate_hz, fiber):
+    """The span's inverse dispersion filter as one expression, applied
+    between out-of-place transforms."""
+    omega = 2 * np.pi * fftfreq(len(samples), 1 / sample_rate_hz)
+    phase = 0.5 * fiber.beta2_s2_per_m * omega**2 * fiber.length_km * 1e3
+    return ifft(fft(samples) * np.exp(-1j * phase))
+
+
+def demodulate_reference(samples, taps, sps):
+    """Matched filter as one zero-padded FFT product with fresh arrays, the
+    taps' spectrum mirrored from its r2c half; skips the filter delay and
+    downsamples."""
+    size = samples.size + taps.size - 1
+    n = next_fast_len(size)
+    half = np.fft.rfft(taps, n)
+    taps_spectrum = np.concatenate([half, half[n - half.size:0:-1].conj()])
+    full = np.fft.ifft(np.fft.fft(samples, n) * taps_spectrum)
+    return full[taps.size - 1:size:sps]

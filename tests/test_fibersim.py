@@ -1,6 +1,8 @@
 import math
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -34,7 +36,14 @@ from bandshape.trellis import (
     build_full_trellis,
 )
 
-from oracles import kerr_phase_reference, ssfm_reference
+from oracles import (
+    cd_compensate_reference,
+    demodulate_reference,
+    edfa_reference,
+    kerr_phase_reference,
+    rk4ip_span,
+    ssfm_reference,
+)
 
 SPAN_FIBER = FiberParams(
     alpha_db_per_km=0.2, dispersion_ps_nm_km=17.0, gamma_per_w_km=1.3,
@@ -50,6 +59,11 @@ def random_qam_waveform(n_symbols=2048, seed=0):
     sym /= np.sqrt(np.mean(np.abs(sym) ** 2))
     taps = rrc_taps(0.1, 32, 4)
     return modulate(sym, 4, taps)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike ==, tells -0.0 from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestKernels:
@@ -259,6 +273,118 @@ class TestSsfm:
         assert np.array_equal(wf, before)
         assert not np.shares_memory(out, wf)
 
+    def test_close_to_rk4ip(self):
+        # the criterion-6 span (sps 8, 0.25 km steps) at 10 dBm against an
+        # integrator whose Kerr step differs: RK4IP at 0.5 km, itself within
+        # 1e-5 of its 4x finer run. Measured on a 512-symbol 64-QAM burst:
+        # 3.0e-6 for RK4IP, 2.3e-5 for the split-step span.
+        sps = 8
+        rate = 50e9 * sps
+        rng = np.random.default_rng(30)
+        levels = np.arange(-7.0, 8.0, 2.0)
+        sym = rng.choice(levels, 512) + 1j * rng.choice(levels, 512)
+        wf = modulate(sym, sps, rrc_taps(0.1, 64, sps))
+        wf *= math.sqrt(10e-3 / np.mean(np.abs(wf) ** 2))
+        wf = np.concatenate([wf, np.zeros(fibersim.next_fast_len(wf.size) - wf.size)])
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        reference = rk4ip_span(wf, rate, SPAN_FIBER, 0.5)
+        assert rel(reference, rk4ip_span(wf, rate, SPAN_FIBER, 0.125)) < 1e-5
+        assert rel(ssfm_span(wf, rate, SPAN_FIBER, 0.25), reference) < 1e-4
+
+
+class TestLinearFilter:
+    """The span's dispersion-and-loss filters are cached by (length, rate,
+    fiber, step) and shared, read-only, by every span that needs them."""
+
+    FIBER = FiberParams(0.2, 17.0, 1.3, 10.3)
+
+    def record_filters(self, monkeypatch):
+        seen = []
+        build = fibersim._linear_filter
+
+        def record(*args):
+            seen.append(build(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(fibersim, "_linear_filter", record)
+        return seen
+
+    def test_equal_spans_share_filters(self, monkeypatch):
+        seen = self.record_filters(monkeypatch)
+        wf = random_qam_waveform(seed=20)
+        ssfm_span(wf, RATE, self.FIBER, step_km=1.0)
+        # an equal fiber, not the same object
+        ssfm_span(wf, RATE, replace(self.FIBER), step_km=1.0)
+        # 0.5, 1.0, 0.65 and 0.15 km per span
+        assert len(seen) == 8
+        assert all(a is b for a, b in zip(seen[:4], seen[4:]))
+
+    def test_read_only(self):
+        filt = fibersim._linear_filter(1024, RATE, self.FIBER, 0.5)
+        with pytest.raises(ValueError):
+            filt[0] = 1.0
+        with pytest.raises(ValueError):
+            filt *= 2.0
+
+    def test_other_fiber_or_step_gets_another_filter(self):
+        filt = fibersim._linear_filter(1024, RATE, self.FIBER, 0.5)
+        others = [
+            fibersim._linear_filter(1024, RATE, self.FIBER, 0.25),
+            fibersim._linear_filter(1024, RATE, replace(self.FIBER, dispersion_ps_nm_km=16.0), 0.5),
+            fibersim._linear_filter(1024, RATE, replace(self.FIBER, alpha_db_per_km=0.16), 0.5),
+            fibersim._linear_filter(1024, RATE / 2, self.FIBER, 0.5),
+            fibersim._linear_filter(1000, RATE, self.FIBER, 0.5),
+        ]
+        for other in others:
+            assert other is not filt
+            assert not np.array_equal(other, filt)
+
+    def test_cache_stays_bounded(self):
+        cache = fibersim._linear_filter
+        wf = random_qam_waveform(seed=21)
+        for length in (3.3, 4.1, 5.0, 7.9):
+            for step_km in (0.7, 1.0, 1.3):
+                fiber = replace(self.FIBER, length_km=length)
+                ssfm_span(wf, RATE, fiber, step_km)
+                assert cache.cache_info().currsize <= cache.cache_info().maxsize == 4
+
+    def test_concurrent_spans_build_each_filter_once(self, monkeypatch):
+        # spans that start together, more than the cores: the later ones
+        # wait for the first one's filters instead of building their own
+        builds = []
+        dispersion_filter = fibersim._dispersion_filter
+
+        def slow_build(*args):
+            builds.append(args)
+            time.sleep(0.05)
+            return dispersion_filter(*args)
+
+        monkeypatch.setattr(fibersim, "_dispersion_filter", slow_build)
+        fibersim._linear_filter.cache_clear()
+        wf = random_qam_waveform(seed=22)
+        fiber = replace(self.FIBER, length_km=10.0)  # 0.5 and 1.0 km filters
+        outs = [None] * 6
+
+        def span(i):
+            outs[i] = ssfm_span(wf, RATE, fiber, step_km=1.0)
+
+        threads = [threading.Thread(target=span, args=(i,)) for i in range(len(outs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 2
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+
 
 class TestEdfa:
     def test_unity_gain_passthrough(self):
@@ -331,6 +457,38 @@ class TestCdCompensate:
         wf = random_qam_waveform(seed=16)
         out = cd_compensate(wf, RATE, fiber)
         np.testing.assert_allclose(out, wf, atol=1e-12)
+
+
+LINK_STAGES = {
+    "edfa": (lambda wf: edfa(wf, 41.0, ase_variance(RATE, 41.0, 5.0), seed=7),
+             lambda wf: edfa_reference(wf, 41.0, ase_variance(RATE, 41.0, 5.0), 7)),
+    "cd_compensate": (lambda wf: cd_compensate(wf, RATE, SPAN_FIBER),
+                      lambda wf: cd_compensate_reference(wf, RATE, SPAN_FIBER)),
+    "demodulate": (lambda wf: demodulate(wf, rrc_taps(0.1, 32, 4), 4),
+                   lambda wf: demodulate_reference(wf, rrc_taps(0.1, 32, 4), 4)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(LINK_STAGES))
+class TestLinkStages:
+    """The stages after the span work in place on an array of their own:
+    the bits of their plain out-of-place expressions, and the caller's array
+    unchanged and not shared (the span's own checks are in TestSsfm)."""
+
+    @pytest.mark.parametrize("n_symbols", [1, 999, 2048])
+    def test_matches_reference_bits(self, stage, n_symbols):
+        run, reference = LINK_STAGES[stage]
+        wf = random_qam_waveform(n_symbols, seed=n_symbols)
+        wf *= math.sqrt(20e-3 / np.mean(np.abs(wf) ** 2))
+        assert same_bits(run(wf), reference(wf))
+
+    def test_input_untouched(self, stage):
+        run, _ = LINK_STAGES[stage]
+        wf = random_qam_waveform(seed=23)
+        before = wf.copy()
+        out = run(wf)
+        assert same_bits(wf, before)
+        assert not np.shares_memory(out, wf)
 
 
 class TestEffectiveSnr:
@@ -440,6 +598,24 @@ class TestRunLink:
         i_rail, q_rail = uniform_rails(4096)
         with pytest.raises(ParameterError):
             run_link(i_rail.reshape(2, 2048), q_rail, small_link(), SPAN_FIBER)
+
+    def test_peak_memory(self):
+        # sps 8 and a 2^14-symbol burst, as in the criterion-6 sweep, over a
+        # 2 km span: each step's working set is that of 205 km. The span's
+        # filters are built inside the measurement. Measured 12.26 MB; stages
+        # that each make new arrays reach 15.35 MB. tracemalloc sees numpy's
+        # arrays, not pocketfft's internal buffers.
+        link = small_link(sps=8, step_km=0.25, burst_symbols=1 << 14,
+                          guard_symbols=512, launch_power_dbm=10.0)
+        i_rail, q_rail = uniform_rails(link.burst_symbols)
+        fibersim._linear_filter.cache_clear()
+        tracemalloc.start()
+        try:
+            run_link(i_rail, q_rail, link, replace(SPAN_FIBER, length_km=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.0e6
 
 
 class TestRunSweep:
