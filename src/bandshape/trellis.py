@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat, zip_longest
+from itertools import repeat
 
 from .errors import (
     EmptyCodebookError,
@@ -24,7 +24,7 @@ from .errors import (
     TrellisFormatError,
 )
 
-_MAGIC = "ESSTRELLIS v2"
+_MAGIC = "ESSTRELLIS v3"
 
 
 def _integer(value, name: str) -> int:
@@ -295,22 +295,20 @@ def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, in
     return [(base, mask & out) for (base, mask), out in zip(reach, leave)]
 
 
-def _build(params: TrellisParams, band: BandParams | None,
-           nodes: list[tuple[int, int]] | None = None) -> Trellis:
-    """The nodes of _nodes (computed here unless given) with their backward
-    counts, summed from the final column down one run of adjacent nodes at
-    a time, each run read straight from the column's mask, lowest first.
+def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
+    """The nodes of _nodes with their backward counts, summed from the final
+    column down one run of adjacent nodes at a time, each run read straight
+    from the column's mask, lowest first.
 
     A node's count is the sum of its children's, and a child absent from
     the next column's dict counts 0: a child of a node is reached from the
     origin, so it is either a node or has no path to the final column. A
-    load thus visits the levels its file holds and skips the gaps between
-    them. The children are summed side by side, not through one map per
-    amplitude chained onto the last: a chain nests as deep as the alphabet
-    is long, and a long enough alphabet overflows the C stack.
+    build thus visits the nodes and skips the gaps between them. The
+    children are summed side by side, not through one map per amplitude
+    chained onto the last: a chain nests as deep as the alphabet is long,
+    and a long enough alphabet overflows the C stack.
     """
-    if nodes is None:
-        nodes = _nodes(params, band)
+    nodes = _nodes(params, band)
     squares = params.alphabet.squares
     back, get = [], None
     for m, (base, mask) in reversed(list(enumerate(nodes))):
@@ -402,20 +400,16 @@ def min_emax_for_bits(n_amplitudes: int, alphabet: Alphabet, k: int,
     )
 
 
-def _lines(trellis: Trellis):
-    """The file format, one line at a time: magic, parameter line, one
-    `n e T` line per node, and an END line repeating the total count."""
+def _lines(trellis: Trellis) -> list[str]:
+    """The file format: magic, parameter line, and an END line with the
+    total count."""
     p = trellis.params
     band = trellis.band
     alphabet = ",".join(str(a) for a in p.alphabet.amplitudes)
     band_txt = f"{band.height},{band.width}" if band else "none"
-    yield _MAGIC
-    yield f"N={p.n_amplitudes} ALPHABET={alphabet} EMAX={p.e_max} BAND={band_txt}"
-    for n, column in enumerate(trellis.back_columns):
-        prefix = f"{n} "
-        for e, count in column.items():
-            yield f"{prefix}{e} {count}"
-    yield f"END {trellis.num_sequences}"
+    return [_MAGIC,
+            f"N={p.n_amplitudes} ALPHABET={alphabet} EMAX={p.e_max} BAND={band_txt}",
+            f"END {trellis.num_sequences}"]
 
 
 def serialize(trellis: Trellis) -> str:
@@ -445,7 +439,7 @@ def deserialize(data: str | bytes) -> Trellis:
 
     The parameter line fixes the whole codebook, so the file is accepted
     only if it equals, line for line, the serialization of the trellis that
-    line defines; the rebuilt trellis is returned.
+    line defines; the rebuilt trellis is returned. A load costs one build.
     """
     if isinstance(data, bytes):
         try:
@@ -456,33 +450,19 @@ def deserialize(data: str | bytes) -> Trellis:
     if not lines or lines[0] != _MAGIC:
         got = lines[0] if lines else "<empty>"
         raise TrellisFormatError(f"unsupported header {got!r}, expected {_MAGIC!r}")
-    if len(lines) < 2:
-        raise TrellisFormatError("truncated stream")
+    if len(lines) != 3:
+        raise TrellisFormatError(f"a v3 file has 3 lines, this one has {len(lines)}")
     try:
         fields = dict(field.partition("=")[::2] for field in lines[1].split())
         params = TrellisParams(int(fields["N"]), parse_alphabet(fields["ALPHABET"]),
                                int(fields["EMAX"]))
         band = None if fields["BAND"] == "none" else parse_band(fields["BAND"])
-        # at least one node line per column: a short file cannot ask for a big build
-        if len(lines) < params.n_amplitudes + 4:
-            raise TrellisFormatError(
-                f"truncated stream: {len(lines)} lines cannot hold N={params.n_amplitudes}"
-            )
-        nodes = _nodes(params, band)
+        trellis = _build(params, band)
     except (KeyError, ValueError, EmptyCodebookError) as exc:  # ParameterError is a ValueError
         raise TrellisFormatError(f"line 2 {lines[1]!r} defines no trellis: {exc!r}") from exc
-    # a valid file has exactly one line per node
-    if sum(mask.bit_count() for _, mask in nodes) > len(lines) - 3:
-        raise TrellisFormatError(
-            f"the header defines over {len(lines) - 3} nodes, "
-            f"more than the file has node lines for"
-        )
-    trellis = _build(params, band, nodes)
-    wanted = list(_lines(trellis))
-    if lines != wanted:
-        number, got, want = next((number, got, want) for number, (got, want)
-                                 in enumerate(zip_longest(lines, wanted), 1) if got != want)
-        raise TrellisFormatError(f"line {number} is {got!r}, the header defines {want!r}")
+    for number, (got, want) in enumerate(zip(lines, _lines(trellis)), 1):
+        if got != want:
+            raise TrellisFormatError(f"line {number} is {got!r}, the header defines {want!r}")
     return trellis
 
 

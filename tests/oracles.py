@@ -4,9 +4,11 @@ Everything here enumerates sequences directly over the alphabet product and
 applies membership rules position by position, and none of it touches the
 dynamic-programming code under test, with two exceptions: `min_emax_scan`
 counts each grid point with `trellis._count_only`, so it checks only the
-band search's scan around those counts, and `forward_columns` takes a
-trellis's node set as given and counts the paths into it. The e_max search
-is checked against enumeration by `TestMinEmax.test_matches_bruteforce_scan`. The
+band search's scan around those counts, `forward_columns` takes a
+trellis's node set as given and counts the paths into it, and `node_lines`
+writes that node set out as the node lines of file formats v1 and v2. The
+e_max search is checked against enumeration by
+`TestMinEmax.test_matches_bruteforce_scan`. The
 bit packers move one bit at a time, independently of the codec's
 binary-string slicing. The split-step and link-stage references keep the
 plain numpy expressions and the out-of-place transforms that the in-place
@@ -198,6 +200,14 @@ def forward_columns(trellis):
         prev = columns[-1]
         columns.append({e: sum(prev.get(e - s, 0) for s in squares) for e in back})
     return columns
+
+
+def node_lines(trellis):
+    """The `n e T` lines that trellis formats v1 and v2 held between the
+    parameter line and END: one per node, ascending n then e, where T is the
+    node's backward count (v1 appended its forward count)."""
+    return [f"{n} {e} {count}" for n, column in enumerate(trellis.back_columns)
+            for e, count in column.items()]
 
 
 # Sparse alphabets leave gaps between the nodes of a column, where the
