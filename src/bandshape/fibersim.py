@@ -201,6 +201,11 @@ def modulate(symbols, sps: int, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+# demodulate multiplies by the mirrored half of the taps' spectrum this many
+# bins at a time, so no full-length copy of that half exists
+_MIRROR_CHUNK = 1 << 14
+
+
 def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     """Matched-filter, skip the filter delay, downsample.
 
@@ -210,9 +215,11 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
 
     The full linear convolution is one zero-padded FFT product with the
     steps and lengths of scipy.signal.fftconvolve, and the bits are its
-    own. That needs the taps' spectrum built as scipy transforms a real
-    array, an r2c half spectrum plus its conjugate mirror: numpy's c2c of
-    a complex copy differs in the last bit.
+    own. That needs the taps' spectrum as scipy transforms a real array,
+    an r2c half spectrum plus its conjugate mirror: numpy's c2c of a
+    complex copy differs in the last bit. The signal's spectrum is
+    multiplied by the half and then, a chunk at a time, by the mirror, so
+    the taps' full spectrum is never built.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.size == 0:
@@ -223,11 +230,12 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     size = samples.size + taps.size - 1
     n = next_fast_len(size)
     half = np.fft.rfft(taps, n)
-    taps_spectrum = np.empty(n, dtype=complex)
-    taps_spectrum[:half.size] = half
-    taps_spectrum[half.size:] = half[n - half.size:0:-1].conj()
     spectrum = np.fft.fft(samples, n)
-    spectrum *= taps_spectrum
+    spectrum[:half.size] *= half
+    mirror, tail = half[n - half.size:0:-1], spectrum[half.size:]
+    for start in range(0, mirror.size, _MIRROR_CHUNK):
+        stop = start + _MIRROR_CHUNK
+        tail[start:stop] *= mirror[start:stop].conj()
     full = np.fft.ifft(spectrum, out=spectrum)
     return full[taps.size - 1:size:sps]
 

@@ -4,8 +4,13 @@ per-sequence energy variability, and dB comparisons between codebooks.
 Exact metrics run over all sequences of a trellis with uniform sequence
 weighting; the occurrence count of amplitude a feeding position n is
 fwd(n, e) * back(n+1, e + a^2) summed over the nodes of column n, where fwd
-counts the paths from the origin. Accumulation stays
-in integer/rational arithmetic until the final float conversion so that
+counts the paths from the origin. The used subset, the first 2**k
+sequences the codec sends, takes the same forward pass with one change:
+fwd counts only the prefixes below the boundary path of index 2**k, and a
+walk down that path adds each lower branch as a new forward source and the
+path's own remaining offset to the amplitude it takes. The final column's
+fwd is then the subset's energy histogram. Accumulation stays in
+integer/rational arithmetic until the final float conversion so that
 large-count trellises do not drift.
 """
 
@@ -45,8 +50,8 @@ class ShapingMetrics:
 
 @dataclass(frozen=True)
 class SampledMetrics(ShapingMetrics):
-    """Statistics of the used 2**k index subset: a sweep of every index
-    (exhaustive, exact) or a Monte-Carlo estimate."""
+    """Statistics of the used 2**k index subset: exact (exhaustive, from
+    used_metrics or a sweep of every index) or a Monte-Carlo estimate."""
 
     num_samples: int
     seed: int
@@ -69,17 +74,27 @@ def _metrics_from_occurrences(alphabet, occ, total) -> tuple:
     )
 
 
-def exact_metrics(trellis: Trellis) -> ShapingMetrics:
-    """Exact statistics over every sequence in the trellis.
+def _occurrences(trellis: Trellis, limit: int) -> tuple[dict, dict]:
+    """Amplitude occurrence counts and final-energy histogram ({energy:
+    sequences}) over the sequences with index < limit, in one forward pass.
 
-    The forward counts are summed column by column over the edges between
-    nodes: every parent of a node that the origin reaches is a node too.
+    fwd counts, per energy, the prefixes that lie wholly below the boundary
+    path, the path of index `limit`, so every completion of each is
+    counted; the column sums run over the edges as for the whole trellis,
+    since every parent of a node that the origin reaches is a node too.
+    The walk down the boundary adds each lower branch it passes to fwd as
+    one more prefix, crediting the branch's amplitude with its whole
+    subtree, and credits the amplitude the path takes with the remaining
+    offset: the counted sequences that share the path's prefix. At limit =
+    num_sequences there is no boundary.
     """
-    amps = trellis.params.alphabet.amplitudes
-    steps = tuple(zip(amps, trellis.params.alphabet.squares))
-    n_len = trellis.params.n_amplitudes
-    occ = {a: 0 for a in amps}
-    fwd = {0: 1}
+    steps = tuple(zip(trellis.params.alphabet.amplitudes,
+                      trellis.params.alphabet.squares))
+    occ = dict.fromkeys(trellis.params.alphabet.amplitudes, 0)
+    if limit == trellis.num_sequences:
+        fwd, bound, offset = {0: 1}, None, 0
+    else:
+        fwd, bound, offset = {}, 0, limit
     for back in trellis.back_columns[1:]:
         nxt = dict.fromkeys(back, 0)
         for a, s in steps:
@@ -91,10 +106,58 @@ def exact_metrics(trellis: Trellis) -> ShapingMetrics:
                     acc += paths_in * paths_out
                     nxt[child] += paths_in
             occ[a] += acc
+        if bound is not None:
+            for a, s in steps:
+                count = back.get(bound + s)
+                if count is None:
+                    continue
+                if offset < count:
+                    occ[a] += offset
+                    bound += s
+                    break
+                occ[a] += count
+                nxt[bound + s] += 1
+                offset -= count
         fwd = nxt
-    total = n_len * trellis.num_sequences
+    return occ, {e: paths for e, paths in fwd.items() if paths}
+
+
+def exact_metrics(trellis: Trellis) -> ShapingMetrics:
+    """Exact statistics over every sequence in the trellis."""
+    amps = trellis.params.alphabet.amplitudes
+    occ, _ = _occurrences(trellis, trellis.num_sequences)
+    total = trellis.params.n_amplitudes * trellis.num_sequences
     p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(amps, occ, total)
     return ShapingMetrics(amps, p, e2, e4, var_e, kurtosis)
+
+
+def used_metrics(trellis: Trellis) -> SampledMetrics:
+    """Exact statistics of the used subset, the 2**k indices the codec sends
+    (k = max_shaping_bits), from one forward pass: no index is encoded.
+
+    se_e2 is the standard error that a sweep of every used index reports,
+    from the exact sums of the per-sequence energies and their squares;
+    seed is 0, as nothing is drawn.
+    """
+    k = max_shaping_bits(trellis)
+    count = 1 << k
+    amps = trellis.params.alphabet.amplitudes
+    n_len = trellis.params.n_amplitudes
+    occ, hist = _occurrences(trellis, count)
+    p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(
+        amps, occ, count * n_len
+    )
+    if count > 1:
+        sum_e = sum(e * paths for e, paths in hist.items())
+        sum_e_sq = sum(e * e * paths for e, paths in hist.items())
+        sample_var = Fraction(count * sum_e_sq - sum_e * sum_e,
+                              count * (count - 1) * n_len * n_len)
+        se_e2 = math.sqrt(sample_var / count)
+    else:
+        se_e2 = float("inf")
+    return SampledMetrics(amps, p, e2, e4, var_e, kurtosis,
+                          num_samples=count, seed=0, exhaustive=True,
+                          se_e2=se_e2)
 
 
 def sampled_metrics(trellis: Trellis, num_samples: int,

@@ -4,9 +4,10 @@ Everything here enumerates sequences directly over the alphabet product and
 applies membership rules position by position, and none of it touches the
 dynamic-programming code under test, with two exceptions: `min_emax_scan`
 counts each grid point with `trellis._count_only`, so it checks only the
-band search's scan around those counts, `forward_columns` takes a
-trellis's node set as given and counts the paths into it, and `node_lines`
-writes that node set out as the node lines of file formats v1 and v2. The
+band search's scan around those counts, `forward_columns` and
+`exact_metrics_reference` take a trellis's node set as given and count the
+paths into it and the amplitudes along them, and `node_lines` writes that
+node set out as the node lines of file formats v1 and v2. The
 e_max search is checked against enumeration by
 `TestMinEmax.test_matches_bruteforce_scan`. The
 bit packers move one bit at a time, independently of the codec's
@@ -27,6 +28,7 @@ import numpy as np
 from scipy.fft import fft, fftfreq, ifft, next_fast_len
 
 from bandshape.errors import InfeasibleRateError
+from bandshape.metrics import ShapingMetrics, _metrics_from_occurrences
 from bandshape.trellis import TrellisParams, _count_only
 
 
@@ -200,6 +202,30 @@ def forward_columns(trellis):
         prev = columns[-1]
         columns.append({e: sum(prev.get(e - s, 0) for s in squares) for e in back})
     return columns
+
+
+def exact_metrics_reference(trellis):
+    """`metrics.exact_metrics` without the used-subset boundary walk: the
+    forward counts summed column by column over the edges between nodes,
+    each amplitude credited fwd * back for every edge it labels."""
+    amps = trellis.params.alphabet.amplitudes
+    steps = tuple(zip(amps, trellis.params.alphabet.squares))
+    occ = {a: 0 for a in amps}
+    fwd = {0: 1}
+    for back in trellis.back_columns[1:]:
+        nxt = dict.fromkeys(back, 0)
+        for a, s in steps:
+            acc = 0
+            for e, paths_in in fwd.items():
+                child = e + s
+                paths_out = back.get(child)
+                if paths_out is not None:
+                    acc += paths_in * paths_out
+                    nxt[child] += paths_in
+            occ[a] += acc
+        fwd = nxt
+    total = trellis.params.n_amplitudes * trellis.num_sequences
+    return ShapingMetrics(amps, *_metrics_from_occurrences(amps, occ, total))
 
 
 def node_lines(trellis):

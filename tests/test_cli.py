@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandshape import _kernels, cli
+from bandshape import _kernels, cli, codec, metrics
 from bandshape.cli import _parse_powers, build_parser, main
 from bandshape.errors import ParameterError
 from bandshape.trellis import (
@@ -321,13 +321,34 @@ class TestStats:
         assert all(r.endswith(",") for r in rows if r.startswith("p,"))
 
     def test_exhaustive(self, tmp_path, capsys):
-        # k = 3: 200 samples cover all 8 used indices, so every one is swept
+        # k = 3: the sampled_ keys are exact over all 8 used indices
         trellis = build_toy(tmp_path)
         capsys.readouterr()
         assert main(["stats", "--trellis", str(trellis), "--samples", "200"]) == 0
         out = kv(capsys.readouterr().out)
         assert out["sampled_num_samples"] == "8"
         assert out["sampled_exhaustive"] == "True"
+
+    def test_encodes_no_index(self, tmp_path, capsys, monkeypatch):
+        # a 64-bit codebook: the used-subset keys are exact and come from a
+        # forward pass, not from encoding indices, however many are asked for
+        a1357 = Alphabet((1, 3, 5, 7))
+        path = tmp_path / "k64.trellis"
+        params = TrellisParams(40, a1357, min_emax_for_bits(40, a1357, 64))
+        save_trellis(build_full_trellis(params), path)
+
+        def refuse(*args):
+            raise AssertionError("stats encoded an index")
+
+        monkeypatch.setattr(metrics, "encode_index", refuse)
+        monkeypatch.setattr(codec, "encode_index", refuse)
+        capsys.readouterr()
+        assert main(["stats", "--trellis", str(path), "--samples", "50",
+                     "--seed", "3"]) == 0
+        out = kv(capsys.readouterr().out)
+        assert out["bits"] == "64"
+        assert out["sampled_num_samples"] == str(1 << 64)
+        assert (out["sampled_exhaustive"], out["sampled_seed"]) == ("True", "3")
 
     def test_exhaustive_flag_gone(self, tmp_path, capsys):
         trellis = build_toy(tmp_path)

@@ -167,6 +167,27 @@ class TestModulateDemodulate:
         assert np.array_equal(demodulate(noisy, taps, sps),
                               fftconvolve(noisy, taps, mode="full")[taps.size - 1::sps])
 
+    def test_peak_memory(self):
+        # at the criterion-6 link's length (sps 8, 2^14 symbols) the filter
+        # holds the signal's spectrum, the taps' r2c half and one mirrored
+        # chunk, never the taps' full spectrum: 3.44 MB measured, where
+        # building that spectrum took 5.29 MB
+        sps = 8
+        taps = rrc_taps(0.1, 64, sps)
+        size = fibersim.next_fast_len((1 << 14) * sps + taps.size)
+        rng = np.random.default_rng(24)
+        wf = rng.normal(size=size) + 1j * rng.normal(size=size)
+        n = fibersim.next_fast_len(size + taps.size - 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            demodulate(wf, taps, sps)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        held = 16 * (n + n // 2 + 1 + fibersim._MIRROR_CHUNK)
+        assert peak < held + 16e3
+
 
 class TestNextFastLen:
     # perfbench derives the link's FFT length with scipy's next_fast_len and
@@ -602,9 +623,12 @@ class TestRunLink:
     def test_peak_memory(self):
         # sps 8 and a 2^14-symbol burst, as in the criterion-6 sweep, over a
         # 2 km span: each step's working set is that of 205 km. The span's
-        # filters are built inside the measurement. Measured 12.26 MB; stages
-        # that each make new arrays reach 15.35 MB. tracemalloc sees numpy's
-        # arrays, not pocketfft's internal buffers.
+        # filters are built inside the measurement. Measured 12.26 MB, set
+        # by the span and by dispersion compensation, each 12.26 MB; the
+        # matched filter peaks at 10.36 MB (12.21 MB while it built the
+        # taps' full spectrum). Stages that each make new arrays reach
+        # 15.35 MB. tracemalloc sees numpy's arrays, not pocketfft's
+        # internal buffers.
         link = small_link(sps=8, step_km=0.25, burst_symbols=1 << 14,
                           guard_symbols=512, launch_power_dbm=10.0)
         i_rail, q_rail = uniform_rails(link.burst_symbols)

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bandshape import metrics
-from bandshape.errors import InfeasibleRateError, ParameterError
+from bandshape.errors import EmptyCodebookError, InfeasibleRateError, ParameterError
 from bandshape.metrics import (
     SEARCH_HEIGHTS,
     SEARCH_WIDTHS,
@@ -19,6 +20,7 @@ from bandshape.metrics import (
     exact_metrics,
     find_band_operating_point,
     sampled_metrics,
+    used_metrics,
     windowed_energy_deviation,
 )
 from bandshape.trellis import (
@@ -34,7 +36,9 @@ from bandshape.codec import encode_index
 
 from oracles import (
     GAPPED,
+    amplitude_occurrences,
     enumerate_sequences,
+    exact_metrics_reference,
     exact_moments,
     min_emax_scan,
     sampled_moments,
@@ -170,6 +174,130 @@ class TestSampledMetrics:
         p, e2, e4, se_e2 = sampled_moments(
             enumerate_sequences(n, (1, 3, 5, 7), e_max, band), (1, 3, 5, 7), k, 500, 3)
         assert (m.p_amp, m.e2, m.e4, m.se_e2) == (p, e2, e4, se_e2)
+
+
+def criterion_2_grid():
+    """Every trellis of the acceptance suite's criterion-2 bijectivity grid:
+    n 2-8, alphabets {1,3}, {1,3,5}, {1,3,5,7}, four e_max each, unbanded
+    and every nonempty band of heights 1-3 and widths 0-2."""
+    for n in range(2, 9):
+        for amps in ((1, 3), (1, 3, 5), (1, 3, 5, 7)):
+            lo, hi = n, n * amps[-1] ** 2
+            for e_max in sorted({lo + 8 * int(f * (hi - lo) / 8)
+                                 for f in (0.0, 0.35, 0.65, 1.0)}):
+                params = TrellisParams(n, Alphabet(amps), e_max)
+                yield build_full_trellis(params)
+                for h, w in itertools.product((1, 2, 3), (0, 1, 2)):
+                    try:
+                        yield build_band_trellis(params, BandParams(h, w))
+                    except EmptyCodebookError:
+                        pass
+
+
+def gapped_trellises():
+    for n, amps, e_max, band in GAPPED:
+        params = TrellisParams(n, Alphabet(amps), e_max)
+        yield (build_band_trellis(params, BandParams(*band)) if band
+               else build_full_trellis(params))
+
+
+def assert_equals_sweep(t):
+    """used_metrics against a sweep that encodes every used index."""
+    got = used_metrics(t)
+    want = sampled_metrics(t, 1 << max_shaping_bits(t), 0)
+    assert want.exhaustive
+    assert (got.p_amp, got.e2, got.e4, got.var_e, got.kurtosis) == (
+        want.p_amp, want.e2, want.e4, want.var_e, want.kurtosis)
+    assert got.se_e2 == pytest.approx(want.se_e2, rel=1e-9)
+    assert (got.num_samples, got.exhaustive) == (want.num_samples, True)
+
+
+class TestUsedMetrics:
+    """Exact statistics of the 2**k used sequences from one forward pass."""
+
+    def test_criterion_2_grid_equals_sweep(self):
+        count = 0
+        for t in criterion_2_grid():
+            assert_equals_sweep(t)
+            count += 1
+        assert count == 709
+
+    def test_gapped_equal_sweep(self):
+        for t in gapped_trellises():
+            assert_equals_sweep(t)
+
+    @pytest.mark.parametrize("n, e_max, band", [
+        (8, 88, (6, 0)), (10, 150, (3, 1)), (12, 220, (4, 2)), (16, 208, (2, 0)),
+    ])
+    def test_band_equals_sweep(self, n, e_max, band):
+        assert_equals_sweep(build_band_trellis(TrellisParams(n, A1357, e_max),
+                                               BandParams(*band)))
+
+    def test_k_zero(self):
+        t = build_full_trellis(TrellisParams(2, Alphabet((1,)), 2))
+        assert max_shaping_bits(t) == 0
+        assert_equals_sweep(t)
+        m = used_metrics(t)
+        assert (m.num_samples, m.p_amp, m.se_e2) == (1, (1.0,), math.inf)
+
+    def test_whole_trellis_used(self):
+        # every sequence of {1,3}^6 is in the sphere: 2**k = 64 = the count
+        t = build_full_trellis(TrellisParams(6, A13, 54))
+        assert t.num_sequences == 1 << max_shaping_bits(t) == 64
+        assert_equals_sweep(t)
+        m, whole = used_metrics(t), exact_metrics(t)
+        assert (m.p_amp, m.e2, m.e4) == (whole.p_amp, whole.e2, whole.e4)
+
+    def test_histogram_holds_the_used_sequences(self):
+        for t in itertools.chain(gapped_trellises(), criterion_2_grid()):
+            count = 1 << max_shaping_bits(t)
+            occ, hist = metrics._occurrences(t, count)
+            assert sum(hist.values()) == count
+            assert sum(occ.values()) == count * t.params.n_amplitudes
+
+    @pytest.mark.parametrize("n, amps, e_max, band", [
+        (3, (1, 3, 5), 27, None), (5, (1, 3, 5, 7), 45, None),
+        (6, (1, 3, 5, 7), 70, (3, 1)), *GAPPED,
+    ])
+    def test_every_limit_matches_enumeration(self, n, amps, e_max, band):
+        # any limit, not only 2**k: the first `limit` sequences in
+        # lexicographic order, counted one by one
+        params = TrellisParams(n, Alphabet(amps), e_max)
+        t = (build_band_trellis(params, BandParams(*band)) if band
+             else build_full_trellis(params))
+        seqs = enumerate_sequences(n, amps, e_max, band)
+        for limit in range(len(seqs) + 1):
+            energies = {}
+            for seq in seqs[:limit]:
+                e = sum(a * a for a in seq)
+                energies[e] = energies.get(e, 0) + 1
+            assert metrics._occurrences(t, limit) == (
+                amplitude_occurrences(seqs[:limit], amps), energies)
+
+    def test_n108_codebooks_match_stored_used_subset(self):
+        # the used-subset references of the benchmark's codebook_design
+        # workload, which a 4,000-sample estimate was checked against
+        ess = build_full_trellis(TrellisParams(108, A1357, 860))
+        bess = build_band_trellis(TrellisParams(108, A1357, 972), BandParams(11, 0))
+        for t, p, e2, e4 in (
+            (ess, (0.5252358600045087, 0.32541739700785705,
+                   0.12193846210417021, 0.027408280883464038),
+             7.8454597489692155, 168.90286623394448),
+            (bess, (0.4761753628939398, 0.34346487999126324,
+                    0.15071714074041723, 0.029642616374379736),
+             8.787776003670347, 193.6669655198328),
+        ):
+            m = used_metrics(t)
+            assert (m.p_amp, m.e2, m.e4) == (p, e2, e4)
+            assert m.num_samples == 1 << 162 and m.exhaustive
+
+    def test_exact_metrics_keeps_its_bits(self):
+        trellises = itertools.chain(
+            criterion_2_grid(), gapped_trellises(),
+            (build_full_trellis(TrellisParams(108, A1357, 860)),
+             build_band_trellis(TrellisParams(108, A1357, 972), BandParams(11, 0))))
+        for t in trellises:
+            assert exact_metrics(t) == exact_metrics_reference(t)
 
 
 class TestSequenceEnergyStats:

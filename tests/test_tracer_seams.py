@@ -130,9 +130,10 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
 
 def test_traced_metrics_fit_a_strict_result_line(tracer, tmp_path, capsys):
     # the benchmark's result line is strict JSON of int64-sized numbers, so a
-    # count the tracer adds up (metrics.samples sums num_samples) must stay
-    # machine sized: stats sweeps every used index of a 12-bit codebook, and
-    # samples a 64-bit one
+    # count the tracer adds up must stay machine sized. metrics.samples sums
+    # the num_samples of cli.sampled_metrics, which stats no longer calls:
+    # its exact used-subset pass reports 2**64 for the 64-bit codebook, and
+    # the tracer never sees it
     a1357 = Alphabet((1, 3, 5, 7))
     runs = []
     for n, k, samples in ((12, 12, 1 << 12), (40, 64, 50)):
@@ -151,7 +152,7 @@ def test_traced_metrics_fit_a_strict_result_line(tracer, tmp_path, capsys):
         uninstall()
     got = tracer.layer_metrics(tr, time.perf_counter() - start)
     capsys.readouterr()
-    assert got["metrics.samples"] == (1 << 12) + 50
+    assert got["metrics.samples"] == 0
     assert got["metrics.band_candidates"] > 0
     json.dumps(got, allow_nan=False)
     for name, value in got.items():
