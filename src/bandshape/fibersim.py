@@ -201,11 +201,6 @@ def modulate(symbols, sps: int, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-# demodulate multiplies by the mirrored half of the taps' spectrum this many
-# bins at a time, so no full-length copy of that half exists
-_MIRROR_CHUNK = 1 << 14
-
-
 def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     """Matched-filter, skip the filter delay, downsample.
 
@@ -218,8 +213,9 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     own. That needs the taps' spectrum as scipy transforms a real array,
     an r2c half spectrum plus its conjugate mirror: numpy's c2c of a
     complex copy differs in the last bit. The signal's spectrum is
-    multiplied by the half and then, a chunk at a time, by the mirror, so
-    the taps' full spectrum is never built.
+    multiplied by the half, then the half is conjugated in place and its
+    mirrored view multiplies the rest, so the taps' full spectrum is never
+    built.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.size == 0:
@@ -232,10 +228,7 @@ def demodulate(samples, taps: np.ndarray, sps: int) -> np.ndarray:
     half = np.fft.rfft(taps, n)
     spectrum = np.fft.fft(samples, n)
     spectrum[:half.size] *= half
-    mirror, tail = half[n - half.size:0:-1], spectrum[half.size:]
-    for start in range(0, mirror.size, _MIRROR_CHUNK):
-        stop = start + _MIRROR_CHUNK
-        tail[start:stop] *= mirror[start:stop].conj()
+    spectrum[half.size:] *= np.conjugate(half, out=half)[n - half.size:0:-1]
     full = np.fft.ifft(spectrum, out=spectrum)
     return full[taps.size - 1:size:sps]
 
@@ -470,6 +463,8 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     u = cd_compensate(u, rate, fiber)
     rx = demodulate(u, taps, link.sps)[:n]
     g = link.guard_symbols
+    # rx stays demodulate's strided view: np.vdot in effective_snr rounds a
+    # contiguous copy differently, so copying it moves the SNR's last digit
     return effective_snr(tx[g:n - g], rx[g:n - g])
 
 

@@ -205,7 +205,8 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
 def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int, int]]:
     """Packed per-column values of the paths from the origin, as (base, column)
     pairs: path counts with op = operator.add at W bits per level (see _packing),
-    reachability with op = operator.or_ at 1 bit per level.
+    reachability, the levels _build sums counts over, with op = operator.or_
+    at 1 bit per level, W times cheaper.
 
     Each step combines one shifted copy of the column per amplitude (the step
     polynomial is sparse, so this beats a big-integer multiply), then cuts
@@ -241,29 +242,6 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
     return cols
 
 
-def _backward(windows, cols, shifts: tuple[int, ...]) -> list[int]:
-    """Per column, bit g set where level base + g leads to the final column,
-    on the bases of a reachability pass's (base, _) pairs, cols (no lower
-    level is reached from the origin).
-
-    The steps of _forward undone with right shifts, from a 1 at every
-    admitted level of the final column; windows include column 0's (0, 0).
-    """
-    spans = [hi - base + 1 for (_, hi), (base, _) in zip(windows, cols)]
-    col = (1 << spans[-1]) - 1
-    back_cols = [col]
-    rest = shifts[1:]
-    for m in range(len(cols) - 2, -1, -1):
-        col <<= cols[m + 1][0] - cols[m][0]
-        nxt = col
-        for s in rest:
-            nxt |= col >> s
-        col = nxt & ((1 << spans[m]) - 1)
-        back_cols.append(col)
-    back_cols.reverse()
-    return back_cols
-
-
 def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     """Sequence count without building the trellis; 0 for an empty band.
 
@@ -274,44 +252,29 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
 
 
-def _nodes(params: TrellisParams, band: BandParams | None) -> list[tuple[int, int]]:
-    """Per column, (base, mask): bit g of mask is set where level base + g
-    is a node, a level that a path from the origin reaches and leaves for
-    the final column.
+def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
+    """The nodes with their backward counts.
 
-    Both passes run at 1 bit per level with OR in place of +, so they cost
-    W times less than a packed count pass, and a node is exactly a
-    level whose forward and backward counts are both nonzero.
+    One reachability pass marks the levels that a path from the origin
+    reaches. Their counts are summed from the final column down, one run of
+    adjacent reached levels at a time, each run read straight from the
+    column's mask, lowest first. A level's count is the sum of its
+    children's, and a child absent from the next column's dict counts 0. A
+    node is a reached level that leads to the final column, one whose count
+    is not 0, so dropping the zeros leaves each dict holding the nodes
+    alone. The children are summed side by side, not through one map per
+    amplitude chained onto the last: a chain nests as deep as the alphabet
+    is long, and a long enough alphabet overflows the C stack.
     """
-    n_len, squares = params.n_amplitudes, params.alphabet.squares
+    squares = params.alphabet.squares
     offsets = tuple((s - squares[0]) // 8 for s in squares)
-    windows = [(0, 0), *_level_windows(params, band)]
-    reach = _forward(windows[1:], 1, offsets, operator.or_)
-    if len(reach) <= n_len:
+    reach = _forward(_level_windows(params, band), 1, offsets, operator.or_)
+    if len(reach) <= params.n_amplitudes:
         raise EmptyCodebookError(
             f"no admissible node at column {len(reach)}; band too narrow"
         )
-    leave = _backward(windows, reach, offsets)
-    return [(base, mask & out) for (base, mask), out in zip(reach, leave)]
-
-
-def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
-    """The nodes of _nodes with their backward counts, summed from the final
-    column down one run of adjacent nodes at a time, each run read straight
-    from the column's mask, lowest first.
-
-    A node's count is the sum of its children's, and a child absent from
-    the next column's dict counts 0: a child of a node is reached from the
-    origin, so it is either a node or has no path to the final column. A
-    build thus visits the nodes and skips the gaps between them. The
-    children are summed side by side, not through one map per amplitude
-    chained onto the last: a chain nests as deep as the alphabet is long,
-    and a long enough alphabet overflows the C stack.
-    """
-    nodes = _nodes(params, band)
-    squares = params.alphabet.squares
     back, get = [], None
-    for m, (base, mask) in reversed(list(enumerate(nodes))):
+    for m, (base, mask) in reversed(list(enumerate(reach))):
         e0, counts = m * squares[0] + 8 * base, {}
         while mask:
             low = mask & -mask
@@ -324,6 +287,8 @@ def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
                 continue
             children = [map(get, range(lo + s, hi + s, 8), repeat(0)) for s in squares]
             counts.update(zip(range(lo, hi, 8), map(sum, zip(*children))))
+        if not all(counts.values()):
+            counts = {e: c for e, c in counts.items() if c}
         back.append(counts)
         get = counts.get
     back.reverse()

@@ -169,9 +169,8 @@ class TestModulateDemodulate:
 
     def test_peak_memory(self):
         # at the criterion-6 link's length (sps 8, 2^14 symbols) the filter
-        # holds the signal's spectrum, the taps' r2c half and one mirrored
-        # chunk, never the taps' full spectrum: 3.44 MB measured, where
-        # building that spectrum took 5.29 MB
+        # holds the signal's spectrum and the taps' r2c half, conjugated in
+        # place, never the taps' full spectrum nor a mirrored copy of the half
         sps = 8
         taps = rrc_taps(0.1, 64, sps)
         size = fibersim.next_fast_len((1 << 14) * sps + taps.size)
@@ -185,7 +184,7 @@ class TestModulateDemodulate:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        held = 16 * (n + n // 2 + 1 + fibersim._MIRROR_CHUNK)
+        held = 16 * (n + n // 2 + 1)
         assert peak < held + 16e3
 
 
