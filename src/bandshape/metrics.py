@@ -17,7 +17,6 @@ large-count trellises do not drift.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,12 +49,11 @@ class ShapingMetrics:
 
 @dataclass(frozen=True)
 class SampledMetrics(ShapingMetrics):
-    """Statistics of the used 2**k index subset: exact (exhaustive, from
-    used_metrics or a sweep of every index) or a Monte-Carlo estimate."""
+    """Exact statistics of the used 2**k index subset, from used_metrics'
+    forward pass or sampled_metrics' sweep of every index; num_samples is
+    2**k."""
 
     num_samples: int
-    seed: int
-    exhaustive: bool
     se_e2: float
 
 
@@ -136,8 +134,7 @@ def used_metrics(trellis: Trellis) -> SampledMetrics:
     (k = max_shaping_bits), from one forward pass: no index is encoded.
 
     se_e2 is the standard error that a sweep of every used index reports,
-    from the exact sums of the per-sequence energies and their squares;
-    seed is 0, as nothing is drawn.
+    from the exact sums of the per-sequence energies and their squares.
     """
     k = max_shaping_bits(trellis)
     count = 1 << k
@@ -156,37 +153,21 @@ def used_metrics(trellis: Trellis) -> SampledMetrics:
     else:
         se_e2 = float("inf")
     return SampledMetrics(amps, p, e2, e4, var_e, kurtosis,
-                          num_samples=count, seed=0, exhaustive=True,
-                          se_e2=se_e2)
+                          num_samples=count, se_e2=se_e2)
 
 
-def sampled_metrics(trellis: Trellis, num_samples: int,
-                    seed: int) -> SampledMetrics:
+def sampled_metrics(trellis: Trellis) -> SampledMetrics:
     """Statistics of the used subset, the 2**k indices the codec sends
-    (k = max_shaping_bits).
-
-    When 2**k <= num_samples, a sweep of every used index: exact, and no
-    more encodes than asked for. Otherwise Monte Carlo over num_samples
-    indices from a seeded uniform stream.
-    """
-    num_samples, seed = _integer(num_samples, "num_samples"), _integer(seed, "seed")
-    if num_samples < 1:
-        raise ParameterError("num_samples must be >= 1")
-    k = max_shaping_bits(trellis)
+    (k = max_shaping_bits), from a sweep that encodes every one of them:
+    the reference that used_metrics is tested against."""
+    count = 1 << max_shaping_bits(trellis)
     amps = trellis.params.alphabet.amplitudes
     steps = tuple(zip(amps, trellis.params.alphabet.squares))
     n_len = trellis.params.n_amplitudes
-    exhaustive = (1 << k) <= num_samples
-    if exhaustive:
-        indices = range(1 << k)
-    else:
-        rng = random.Random(seed)
-        indices = (rng.getrandbits(k) for _ in range(num_samples))
     occ = {a: 0 for a in amps}
-    count = 0
     sum_e2 = 0.0
     sum_e2_sq = 0.0
-    for i in indices:
+    for i in range(count):
         values = encode_index(trellis, i)
         energy = 0
         for a, s in steps:
@@ -196,7 +177,6 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
         seq_e2 = energy / n_len
         sum_e2 += seq_e2
         sum_e2_sq += seq_e2 * seq_e2
-        count += 1
     p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(
         amps, occ, count * n_len
     )
@@ -206,8 +186,7 @@ def sampled_metrics(trellis: Trellis, num_samples: int,
     else:
         se_e2 = float("inf")
     return SampledMetrics(amps, p, e2, e4, var_e, kurtosis,
-                          num_samples=count, seed=seed, exhaustive=exhaustive,
-                          se_e2=se_e2)
+                          num_samples=count, se_e2=se_e2)
 
 
 def windowed_energy_deviation(seq, window_len: int):

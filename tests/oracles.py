@@ -20,9 +20,7 @@ within their truncation errors.
 
 import itertools
 import math
-import random
 from collections import defaultdict
-from fractions import Fraction
 
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft, next_fast_len
@@ -121,34 +119,6 @@ def exact_moments(sequences, alphabet):
     e2 = sum(p[a] * a * a for a in alphabet)
     e4 = sum(p[a] * a ** 4 for a in alphabet)
     return p, e2, e4
-
-
-def sampled_moments(sequences, alphabet, k, num_samples, seed):
-    """(p_amp, e2, e4, se_e2) of num_samples seeded draws from the first 2**k
-    of `sequences` (lexicographic, as from enumerate_sequences), p_amp in
-    ascending alphabet order.
-
-    The draws are random.Random(seed).getrandbits(k), as in a Monte-Carlo
-    `sampled_metrics` run; each sequence's energy is the plain sum of v*v.
-    The moments are the exact rationals of the amplitude occurrences, and
-    se_e2 is the unbiased sample variance of the per-symbol energies by
-    running sums, in draw order, so the floats match bit for bit.
-    """
-    rng = random.Random(seed)
-    picks = [sequences[rng.getrandbits(k)] for _ in range(num_samples)]
-    alphabet = sorted(alphabet)
-    occ = amplitude_occurrences(picks, alphabet)
-    total = sum(occ.values())
-    p = tuple(float(Fraction(occ[a], total)) for a in alphabet)
-    e2 = float(Fraction(sum(occ[a] * a**2 for a in alphabet), total))
-    e4 = float(Fraction(sum(occ[a] * a**4 for a in alphabet), total))
-    sum_e2 = sum_e2_sq = 0.0
-    for seq in picks:
-        seq_e2 = sum(v * v for v in seq) / len(seq)
-        sum_e2 += seq_e2
-        sum_e2_sq += seq_e2 * seq_e2
-    var = max(0.0, (sum_e2_sq - sum_e2**2 / num_samples) / (num_samples - 1))
-    return p, e2, e4, math.sqrt(var / num_samples)
 
 
 def floor_log2(x):

@@ -642,6 +642,22 @@ class TestSimulate:
                                    "--trellis-bess", str(tmp_path / "b.trellis"))
         assert "--trellis-bess" in err and "'bess'" in err
 
+    def test_missing_trellis_named_before_unused_flag(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # two faults: the --schemes pass reports its missing flag first
+        def no_load(path):
+            raise AssertionError("no trellis may load")
+
+        monkeypatch.setattr(cli, "load_trellis", no_load)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--schemes", "bess", "--powers", "0",
+                   "--trellis-ess", str(tmp_path / "a.trellis"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: scheme 'bess' needs --trellis-bess "
+                       "(known: ess, bess)\n")
+        assert not out.exists()
+
     def test_missing_trellis_flag(self, tmp_path):
         rc = main(["simulate", "--schemes", "bess", "--powers", "0",
                    "--out", str(tmp_path / "x.csv")])

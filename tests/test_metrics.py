@@ -32,7 +32,6 @@ from bandshape.trellis import (
     max_shaping_bits,
     min_emax_for_bits,
 )
-from bandshape.codec import encode_index
 
 from oracles import (
     GAPPED,
@@ -41,7 +40,6 @@ from oracles import (
     exact_metrics_reference,
     exact_moments,
     min_emax_scan,
-    sampled_moments,
 )
 
 A13 = Alphabet((1, 3))
@@ -118,62 +116,22 @@ class TestExactMetrics:
 
 
 class TestSampledMetrics:
-    def test_exhaustive_equals_enumeration(self, toy):
-        m = sampled_metrics(toy, num_samples=8, seed=7)
-        used = [encode_index(toy, i) for i in range(8)]
-        p_want, e2_want, e4_want = exact_moments(used, (1, 3, 5))
-        for a, p in zip((1, 3, 5), m.p_amp):
-            assert p == pytest.approx(p_want[a], abs=1e-12)
-        assert m.e2 == pytest.approx(e2_want, rel=1e-12)
-        assert m.num_samples == 8
-        assert m.exhaustive
-
-    def test_sweep_threshold(self, toy):
-        # k = 3: every used index is swept once the samples reach 2**3
-        below = sampled_metrics(toy, num_samples=7, seed=0)
-        assert (below.num_samples, below.exhaustive) == (7, False)
-        for asked in (8, 500):
-            m = sampled_metrics(toy, num_samples=asked, seed=0)
-            assert (m.num_samples, m.exhaustive) == (8, True)
-        with pytest.raises(ParameterError):
-            sampled_metrics(toy, num_samples=0, seed=0)
-        with pytest.raises(ParameterError, match="integer"):
-            sampled_metrics(toy, num_samples=20.0, seed=0)
-        assert sampled_metrics(toy, num_samples=np.int64(8), seed=0).exhaustive
-
-    def test_same_seed_identical(self):
-        t = build_full_trellis(TrellisParams(6, A1357, 102))  # k = 10
-        a = sampled_metrics(t, num_samples=500, seed=42)
-        b = sampled_metrics(t, num_samples=500, seed=42)
-        assert not a.exhaustive
-        assert a == b
-
-    def test_different_seed_differs(self):
-        t = build_full_trellis(TrellisParams(6, A1357, 102))  # k = 10
-        a = sampled_metrics(t, num_samples=500, seed=1)
-        b = sampled_metrics(t, num_samples=500, seed=2)
-        assert not a.exhaustive
-        assert (a.p_amp, a.e2) != (b.p_amp, b.e2)
-
-    def test_consistent_with_exhaustive(self):
-        t = build_full_trellis(TrellisParams(8, A1357, 120))  # k = 13
-        k = max_shaping_bits(t)
-        exact = sampled_metrics(t, num_samples=1 << k, seed=0)
-        est = sampled_metrics(t, num_samples=4000, seed=99)
-        assert exact.exhaustive and not est.exhaustive
-        assert abs(est.e2 - exact.e2) < 3 * est.se_e2
-
-
-    def test_monte_carlo_matches_oracle_exactly(self):
-        # 1,270 band sequences, k = 10: 500 draws stay below 2**k, so Monte Carlo
-        n, e_max, band = 8, 88, (6, 0)
-        t = build_band_trellis(TrellisParams(n, A1357, e_max), BandParams(*band))
-        k = max_shaping_bits(t)
-        m = sampled_metrics(t, num_samples=500, seed=3)
-        assert not m.exhaustive and k == 10
-        p, e2, e4, se_e2 = sampled_moments(
-            enumerate_sequences(n, (1, 3, 5, 7), e_max, band), (1, 3, 5, 7), k, 500, 3)
-        assert (m.p_amp, m.e2, m.e4, m.se_e2) == (p, e2, e4, se_e2)
+    def test_exhaustive_equals_enumeration(self):
+        # the first 2**k sequences in lexicographic order, counted one by one
+        for n, amps, e_max, band in ((3, (1, 3, 5), 27, None),
+                                     (8, (1, 3, 5, 7), 88, (6, 0)), *GAPPED):
+            params = TrellisParams(n, Alphabet(amps), e_max)
+            t = (build_band_trellis(params, BandParams(*band)) if band
+                 else build_full_trellis(params))
+            count = 1 << max_shaping_bits(t)
+            m = sampled_metrics(t)
+            p_want, e2_want, e4_want = exact_moments(
+                enumerate_sequences(n, amps, e_max, band)[:count], amps)
+            for a, p in zip(amps, m.p_amp):
+                assert p == pytest.approx(p_want[a], abs=1e-12)
+            assert m.e2 == pytest.approx(e2_want, rel=1e-12)
+            assert m.e4 == pytest.approx(e4_want, rel=1e-12)
+            assert m.num_samples == count
 
 
 def criterion_2_grid():
@@ -204,12 +162,11 @@ def gapped_trellises():
 def assert_equals_sweep(t):
     """used_metrics against a sweep that encodes every used index."""
     got = used_metrics(t)
-    want = sampled_metrics(t, 1 << max_shaping_bits(t), 0)
-    assert want.exhaustive
+    want = sampled_metrics(t)
     assert (got.p_amp, got.e2, got.e4, got.var_e, got.kurtosis) == (
         want.p_amp, want.e2, want.e4, want.var_e, want.kurtosis)
     assert got.se_e2 == pytest.approx(want.se_e2, rel=1e-9)
-    assert (got.num_samples, got.exhaustive) == (want.num_samples, True)
+    assert got.num_samples == want.num_samples
 
 
 class TestUsedMetrics:
@@ -289,7 +246,7 @@ class TestUsedMetrics:
         ):
             m = used_metrics(t)
             assert (m.p_amp, m.e2, m.e4) == (p, e2, e4)
-            assert m.num_samples == 1 << 162 and m.exhaustive
+            assert m.num_samples == 1 << 162
 
     def test_exact_metrics_keeps_its_bits(self):
         trellises = itertools.chain(
