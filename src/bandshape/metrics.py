@@ -2,9 +2,13 @@
 per-sequence energy variability, and dB comparisons between codebooks.
 
 Exact metrics run over all sequences of a trellis with uniform sequence
-weighting; the occurrence count of amplitude a feeding position n is
+weighting, and depend only on each amplitude's occurrence count. A sphere
+is closed under permutation, so its counts are n times its first column's.
+A band's count of amplitude a feeding position n is
 fwd(n, e) * back(n+1, e + a^2) summed over the nodes of column n, where fwd
-counts the paths from the origin. The used subset, the first 2**k
+counts the paths from the origin. The band search builds no trellis: it
+scores each geometry from trellis._count_occurrences, a packed count pass
+over the geometry's windows. The used subset, the first 2**k
 sequences the codec sends, takes the same forward pass with one change:
 fwd counts only the prefixes below the boundary path of index 2**k, and a
 walk down that path adds each lower branch as a new forward source and the
@@ -22,12 +26,16 @@ from fractions import Fraction
 
 from .codec import encode_index
 from .errors import InfeasibleRateError, ParameterError
-from .trellis import (
+from .trellis import (  # noqa: F401
     Alphabet,
     BandParams,
     Trellis,
     TrellisParams,
+    _count_occurrences,
     _integer,
+    # no call here builds a trellis any more, but perfbench's tracer wraps
+    # metrics.build_full_trellis and metrics.build_band_trellis, so the
+    # names stay
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
@@ -121,12 +129,34 @@ def _occurrences(trellis: Trellis, limit: int) -> tuple[dict, dict]:
 
 
 def exact_metrics(trellis: Trellis) -> ShapingMetrics:
-    """Exact statistics over every sequence in the trellis."""
-    amps = trellis.params.alphabet.amplitudes
-    occ, _ = _occurrences(trellis, trellis.num_sequences)
-    total = trellis.params.n_amplitudes * trellis.num_sequences
+    """Exact statistics over every sequence in the trellis.
+
+    A sphere, {sum of a**2 <= e_max}, is closed under permutation, so every
+    position holds each amplitude as often as the first: occ[a] is n times
+    the count of the first-column node a**2, read in O(|alphabet|) steps.
+    A band is not, and takes _occurrences' pass over its nodes.
+    """
+    params = trellis.params
+    amps = params.alphabet.amplitudes
+    if trellis.band is None:
+        first = trellis.back_columns[1]
+        occ = {a: params.n_amplitudes * first.get(s, 0)
+               for a, s in zip(amps, params.alphabet.squares)}
+    else:
+        occ, _ = _occurrences(trellis, trellis.num_sequences)
+    total = params.n_amplitudes * trellis.num_sequences
     p, e2, e4, var_e, kurtosis = _metrics_from_occurrences(amps, occ, total)
     return ShapingMetrics(amps, p, e2, e4, var_e, kurtosis)
+
+
+def _codebook_metrics(params: TrellisParams, band: BandParams | None) -> ShapingMetrics:
+    """exact_metrics of the trellis that params and band define, from one
+    packed count pass (trellis._count_occurrences): nothing is built. The
+    band search scores every geometry with it."""
+    count, occ = _count_occurrences(params, band)
+    amps = params.alphabet.amplitudes
+    return ShapingMetrics(amps, *_metrics_from_occurrences(
+        amps, occ, params.n_amplitudes * count))
 
 
 def used_metrics(trellis: Trellis) -> SampledMetrics:
@@ -284,7 +314,10 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
     whose energy/variance trade-off against the full-sphere codebook lands
     closest to the dB targets above, each axis scaled by its tolerance.
     Candidates with kurtosis at or above the full-sphere value are rejected
-    outright; a tie goes to the lower band, then the narrower.
+    outright; a tie goes to the lower band, then the narrower. The search
+    builds no trellis: _codebook_metrics scores the sphere and every
+    candidate from a packed count pass, whose windows the e_max search has
+    already counted over.
 
     At a fixed e_max and width, a band of height h admits a subset of the
     sequences of height h+1: only the window floor depends on the height,
@@ -304,9 +337,7 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
     pruned band cannot tie the best score.
     """
     ess_e_max = min_emax_for_bits(n_amplitudes, alphabet, k)
-    ess = exact_metrics(
-        build_full_trellis(TrellisParams(n_amplitudes, alphabet, ess_e_max))
-    )
+    ess = _codebook_metrics(TrellisParams(n_amplitudes, alphabet, ess_e_max), None)
     candidates, best = [], math.inf
     for w in SEARCH_WIDTHS:
         e_max = ess_e_max
@@ -321,9 +352,7 @@ def find_band_operating_point(n_amplitudes: int, alphabet: Alphabet,
                 )
             except InfeasibleRateError:
                 break
-            banded = exact_metrics(
-                build_band_trellis(TrellisParams(n_amplitudes, alphabet, e_max), band)
-            )
+            banded = _codebook_metrics(TrellisParams(n_amplitudes, alphabet, e_max), band)
             if banded.kurtosis >= ess.kurtosis or banded.var_e == 0.0:
                 continue
             delta_e2, delta_var, kurtosis_ratio = _trade_off(ess, banded)

@@ -147,13 +147,15 @@ def _packing(n_amplitudes: int, alphabet: Alphabet) -> tuple[int, tuple[int, ...
 
     A packed column of path counts is one integer whose bits
     [W*g, W*(g+1)) hold the count at level g, the energy m*a_min**2 + 8*g of
-    column m. No count reaches |alphabet|**n < 2**(W-1), so a level never
-    carries into the next one and the sum over all levels stays below
-    2**W - 1. Appending amplitude a to every path moves each count up
+    column m. No packed value, a path count or an amplitude's occurrences
+    over those paths (see _count_occurrences), reaches
+    n*|alphabet|**n < 2**(W-1), so a level never carries into the next one
+    and the sum over all levels stays below 2**W - 1: one width serves every
+    packed pass. Appending amplitude a to every path moves each count up
     (a**2 - a_min**2)/8 levels, a left shift by the returned bit count; one
     trellis step is the product with the polynomial sum(1 << shift).
     """
-    width = (len(alphabet) ** n_amplitudes).bit_length() + 1
+    width = (n_amplitudes * len(alphabet) ** n_amplitudes).bit_length() + 1
     squares = alphabet.squares
     return width, tuple(width * ((s - squares[0]) // 8) for s in squares)
 
@@ -250,6 +252,56 @@ def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     cols = _forward(_level_windows(params, band), width, shifts, operator.add)
     return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
+
+
+def _count_occurrences(params: TrellisParams,
+                       band: BandParams | None) -> tuple[int, dict[int, int]]:
+    """Sequence count and each amplitude's occurrences over all sequences,
+    from one packed forward pass, without building the trellis; raises
+    EmptyCodebookError where _build does.
+
+    f is _forward's column of prefix counts. Column g of amplitude a_i holds
+    the same prefixes, each weighted by how often a_i occurs in it:
+    appending any amplitude keeps a prefix's weight, and appending a_i adds
+    the prefix once more, so g' = sum_b g << s_b + f << s_i, cut to the
+    window as f is. Each final column summed over its levels (see _packing)
+    is the count or an amplitude's occurrences. a_min takes no column: a
+    sequence holds n amplitudes, so its occurrences are n*count less the
+    others'. The cost is window levels, not nodes, like _count_only's.
+    """
+    width, shifts = _packing(params.n_amplitudes, params.alphabet)
+    rest = shifts[1:]
+    f, gs, base = 1, [0] * len(rest), 0
+    masks: dict[int, int] = {}
+    for m, (lo, hi) in enumerate(_level_windows(params, band), 1):
+        limit = width * (hi - base)
+        steps = [s for s in rest if s <= limit]  # as _forward skips them
+        nxt_f, nxt_gs = f, []
+        for s in steps:
+            nxt_f += f << s
+        for g, own in zip(gs, rest):
+            out = g if own > limit else g + (f << own)
+            for s in steps:
+                out += g << s
+            nxt_gs.append(out)
+        f, gs = nxt_f, nxt_gs
+        if lo > base:
+            cut = width * (lo - base)
+            f >>= cut
+            gs = [g >> cut for g in gs]
+            base = lo
+        span = max(hi - base + 1, 0)  # 0: the window lies below every level held
+        if span not in masks:
+            masks[span] = (1 << (width * span)) - 1
+        f &= masks[span]
+        if not f:
+            raise EmptyCodebookError(f"no admissible node at column {m}; band too narrow")
+        gs = [g & masks[span] for g in gs]
+    fold = (1 << width) - 1
+    count = f % fold
+    occ = [g % fold for g in gs]
+    amps = params.alphabet.amplitudes
+    return count, dict(zip(amps, [params.n_amplitudes * count - sum(occ), *occ]))
 
 
 def _build(params: TrellisParams, band: BandParams | None) -> Trellis:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 
-from bandshape import metrics
+from bandshape import metrics, trellis
 from bandshape.errors import EmptyCodebookError, InfeasibleRateError, ParameterError
 from bandshape.metrics import (
     SEARCH_HEIGHTS,
@@ -27,6 +29,7 @@ from bandshape.trellis import (
     Alphabet,
     BandParams,
     TrellisParams,
+    _count_occurrences,
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
@@ -113,6 +116,31 @@ class TestExactMetrics:
                     except Exception:
                         continue
                     assert exact_metrics(band).var_e <= full_var + 1e-12
+
+    def test_sphere_rule_equals_node_pass(self):
+        # a sphere's occurrences are n times its first column's counts; the
+        # node pass credits every edge of every column
+        rng = random.Random(0)
+        for _ in range(300):
+            amps = tuple(sorted(rng.sample(range(1, 16, 2), rng.randint(1, 4))))
+            n = rng.randint(1, 12)
+            e_max = rng.randint(n * amps[0] ** 2, n * amps[-1] ** 2)
+            t = build_full_trellis(TrellisParams(n, Alphabet(amps), e_max))
+            occ, _ = metrics._occurrences(t, t.num_sequences)
+            want = metrics._metrics_from_occurrences(amps, occ, n * t.num_sequences)
+            assert exact_metrics(t) == ShapingMetrics(amps, *want)
+
+    @pytest.mark.parametrize("n, amps, e_max", [
+        (400, (1, 101), 800_000), (3, (1, 4999), 74_970_003),
+    ])
+    def test_sparse_sphere_is_fast(self, n, amps, e_max):
+        # windows of millions of levels, few nodes: the sphere rule reads one
+        # column, whatever the windows hold
+        t = build_full_trellis(TrellisParams(n, Alphabet(amps), e_max))
+        start = time.perf_counter()
+        m = exact_metrics(t)
+        assert time.perf_counter() - start < 1.0
+        assert sum(m.p_amp) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampledMetrics:
@@ -257,6 +285,65 @@ class TestUsedMetrics:
             assert exact_metrics(t) == exact_metrics_reference(t)
 
 
+def assert_counts_occurrences(params, band):
+    """The packed pass against the built trellis's node pass."""
+    t = trellis._build(params, band)
+    want = metrics._occurrences(t, t.num_sequences)[0]
+    assert _count_occurrences(params, band) == (t.num_sequences, want)
+    return want
+
+
+class TestCountOccurrences:
+    """The band search's packed count pass: each amplitude's occurrences over
+    every sequence, with no trellis built."""
+
+    def test_grid_and_gapped_equal_enumeration(self):
+        count = 0
+        for t in itertools.chain(criterion_2_grid(), gapped_trellises()):
+            p = t.params
+            occ = assert_counts_occurrences(p, t.band)
+            band = (t.band.height, t.band.width) if t.band else None
+            seqs = enumerate_sequences(p.n_amplitudes, p.alphabet.amplitudes, p.e_max, band)
+            assert occ == amplitude_occurrences(seqs, p.alphabet.amplitudes)
+            count += 1
+        assert count == 709 + len(GAPPED)
+
+    def test_full_cube_needs_the_wide_packing(self):
+        # every sequence of {1,3}^8: each amplitude occurs 1,024 times, which
+        # a width for |A|**n = 256 alone (10 bits) folds mod 1,023
+        params = TrellisParams(8, A13, 72)
+        assert _count_occurrences(params, None) == (256, {1: 1024, 3: 1024})
+        assert assert_counts_occurrences(params, None) == amplitude_occurrences(
+            enumerate_sequences(8, (1, 3), 72), (1, 3))
+
+    def test_n108_search_geometries(self, monkeypatch):
+        # every geometry the N=108 search scores, at the e_max it scores it
+        scored = []
+        score = metrics._codebook_metrics
+
+        def spy(params, band):
+            scored.append((params, band))
+            return score(params, band)
+
+        monkeypatch.setattr(metrics, "_codebook_metrics", spy)
+        find_band_operating_point(108, A1357, 162)
+        assert len(scored) == 31
+        for params, band in scored:
+            assert_counts_occurrences(params, band)
+
+    @pytest.mark.parametrize("n, amps, e_max, band", [
+        (6, (5, 7), 246, (1, 0)), (5, (1, 3, 5), 45, (1, 1)), (7, (1, 3, 5, 7), 63, (1, 1)),
+    ])
+    def test_empty_band_raises_as_the_build_does(self, n, amps, e_max, band):
+        # the same column empties in both passes: 1, 4 and 6 here
+        params, band = TrellisParams(n, Alphabet(amps), e_max), BandParams(*band)
+        with pytest.raises(EmptyCodebookError) as built:
+            build_band_trellis(params, band)
+        with pytest.raises(EmptyCodebookError) as counted:
+            _count_occurrences(params, band)
+        assert str(counted.value) == str(built.value)
+
+
 class TestSequenceEnergyStats:
     """Per-sequence mean and variance of the energy: the window-1 sums are
     the squared amplitudes."""
@@ -387,6 +474,19 @@ class TestOperatingPointSearch:
         assert [(b.height, b.width) for b in calls[1:]] == [
             (h, w) for w in SEARCH_WIDTHS for h in reversed(SEARCH_HEIGHTS)]
 
+    def test_n108_search_builds_nothing(self, monkeypatch):
+        builds = []
+        build = trellis._build
+
+        def spy(params, band):
+            builds.append((params, band))
+            return build(params, band)
+
+        monkeypatch.setattr(trellis, "_build", spy)
+        op = find_band_operating_point(108, A1357, 162)
+        assert builds == []
+        assert (op.band, op.e_max) == (BandParams(11, 0), 972)
+
     def test_floor_tying_the_best_score_is_still_searched(self, monkeypatch):
         # a tie goes to the lower band, so only a floor scoring strictly worse
         # than the best may end the walk. Fakes put bands (2,0) and (1,0) at
@@ -400,9 +500,8 @@ class TestOperatingPointSearch:
         monkeypatch.setattr(metrics, "min_emax_for_bits",
                             lambda n, alphabet, k, band=None, scan_from=None:
                             80 if band is None else 96)
-        monkeypatch.setattr(metrics, "build_full_trellis", lambda params: ess)
-        monkeypatch.setattr(metrics, "build_band_trellis", lambda params, band: banded)
-        monkeypatch.setattr(metrics, "exact_metrics", lambda m: m)
+        monkeypatch.setattr(metrics, "_codebook_metrics",
+                            lambda params, band: ess if band is None else banded)
         op = find_band_operating_point(8, A1357, 9)
         assert op.band == BandParams(1, 0)
         assert op.score == (compare_db(96 / 8, 10.0) - TARGET_E2_DB) / TOL_E2_DB

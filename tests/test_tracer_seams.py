@@ -26,6 +26,7 @@ from bandshape.trellis import (
     Alphabet,
     TrellisParams,
     build_full_trellis,
+    load_trellis,
     min_emax_for_bits,
     save_trellis,
 )
@@ -94,11 +95,13 @@ def test_traced_link_records_every_stage(tracer):
     assert tr.counts["fibersim.fft_len"] == next_fast_len(padded)
 
 
-def test_traced_band_search_counts_candidates(tracer, monkeypatch):
+def test_traced_band_search_counts_candidates(tracer, monkeypatch, tmp_path):
     # the tracer counts a candidate per band= search under the operating-point
-    # search, however many geometries that search visits, and the nodes of
-    # every trellis the search builds (its node hook reads Trellis.levels)
-    searches, trellises = [], []
+    # search, however many geometries that search visits; the search scores
+    # them from a count pass and builds nothing. The node hook reads
+    # Trellis.levels of every trellis a build returns: here the CLI's build
+    # of the band that search picks
+    searches, builds = [], []
     search = metrics.min_emax_for_bits
 
     def spy(*args, **kwargs):
@@ -108,8 +111,8 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
 
     def build_spy(build):
         def spied(*args, **kwargs):
-            trellises.append(build(*args, **kwargs))
-            return trellises[-1]
+            builds.append(args)
+            return build(*args, **kwargs)
         return spied
 
     monkeypatch.setattr(metrics, "min_emax_for_bits", spy)
@@ -123,9 +126,18 @@ def test_traced_band_search_counts_candidates(tracer, monkeypatch):
         uninstall()
     assert searches
     assert tr.counts["metrics.band_candidates"] == len(searches)
-    assert len(trellises) > 1
-    assert tr.counts["trellis.nodes"] == sum(
-        len(column) for t in trellises for column in t.back_columns)
+    assert builds == []
+
+    path = tmp_path / "band.tr"
+    tr = tracer.Tracer()
+    uninstall = tr.install()
+    try:
+        assert cli.main(["trellis", "build", "--n", "16", "--alphabet", "1,3,5,7",
+                         "--bits", "24", "--band", "16,2", "--out", str(path)]) == 0
+    finally:
+        uninstall()
+    built = load_trellis(path)
+    assert tr.counts["trellis.nodes"] == sum(len(column) for column in built.back_columns)
 
 
 def test_traced_metrics_fit_a_strict_result_line(tracer, tmp_path, capsys):
