@@ -289,6 +289,11 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
     Fixed step with a shorter final step when the length is not a multiple;
     consecutive linear half-steps are fused so each step costs one
     FFT/IFFT pair. Periodic (FFT) boundary; callers discard a guard ring.
+
+    Linear lengths equal to 12 digits share the first one's filter, and all
+    are fetched under one lock before the first transform: one filter when
+    the step covers the span, two when it divides the span to 12 digits (as
+    0.1 km does 205 km), and at most four otherwise.
     """
     u = np.array(samples, dtype=complex)
     if u.size == 0:
@@ -303,34 +308,31 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
     steps.append(length - step_km * (n_steps - 1))
 
     gamma = fiber.gamma_per_w_km
-
-    filters: dict[float, np.ndarray] = {}
-
-    def linear(dz_km: float) -> np.ndarray:
-        # step lengths equal to 12 digits share the filter of the first
-        key = round(dz_km, 12)
-        if key not in filters:
-            with _FILTER_LOCK:
-                filters[key] = _linear_filter(u.size, sample_rate_hz, fiber, dz_km)
-        return filters[key]
+    # the linear lengths between Kerr steps: each step's second half fused
+    # with the next step's first half, and a lone half-step at either end
+    lengths = [(a + b) / 2 for a, b in zip([0.0, *steps], [*steps, 0.0])]
+    keys = [round(dz, 12) for dz in lengths]
+    shared: dict[float, np.ndarray] = {}
+    with _FILTER_LOCK:
+        for key, dz in zip(keys, lengths):
+            if key not in shared:
+                shared[key] = _linear_filter(u.size, sample_rate_hz, fiber, dz)
+    filters = [shared[key] for key in keys]
 
     # u is this call's own copy, so every transform writes into it: one
     # buffer carries the samples and spectra of the whole span. numpy's
     # transforms warn on a non-finite sample; the periodic check below
     # reports it as a NumericalError instead.
     with np.errstate(invalid="ignore", over="ignore"):
-        spectrum = fft(u, out=u)
-        spectrum *= linear(steps[0] / 2)
-        u = ifft(spectrum, out=spectrum)
-        for m, dz in enumerate(steps):
-            _kernels.kerr_phase(u, gamma * dz)
-            tail = steps[m + 1] if m + 1 < len(steps) else None
+        for m, filt in enumerate(filters):
+            if m:
+                _kernels.kerr_phase(u, gamma * steps[m - 1])
             spectrum = fft(u, out=u)
-            spectrum *= linear(dz / 2 if tail is None else (dz + tail) / 2)
+            spectrum *= filt
             u = ifft(spectrum, out=spectrum)
-            if (m % 32 == 31 or tail is None) and not np.isfinite(u).all():
+            if m and (m % 32 == 0 or m == n_steps) and not np.isfinite(u).all():
                 raise NumericalError(
-                    f"non-finite samples after {sum(steps[: m + 1]):.3f} km"
+                    f"non-finite samples after {sum(steps[:m]):.3f} km"
                 )
     return u
 
@@ -474,13 +476,9 @@ def _shaped_rails(trellis: Trellis, n_symbols: int, tag: str) -> tuple[np.ndarra
     n_len = trellis.params.n_amplitudes
     per_rail = math.ceil(n_symbols / n_len)
     rng = random.Random(tag)
-    rails = []
-    for _ in range(2):
-        chunks = []
-        for _ in range(per_rail):
-            idx = rng.getrandbits(k)
-            chunks.append(np.fromiter(encode_index(trellis, idx), dtype=float))
-        rails.append(np.concatenate(chunks))
+    rails = [np.array([encode_index(trellis, rng.getrandbits(k))
+                       for _ in range(per_rail)], dtype=float).ravel()
+             for _ in range(2)]
     return rails[0], rails[1]
 
 

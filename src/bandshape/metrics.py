@@ -92,15 +92,13 @@ def _occurrences(trellis: Trellis, limit: int) -> tuple[dict, dict]:
     one more prefix, crediting the branch's amplitude with its whole
     subtree, and credits the amplitude the path takes with the remaining
     offset: the counted sequences that share the path's prefix. At limit =
-    num_sequences there is no boundary.
+    num_sequences the walk takes every branch of the first column and the
+    boundary ends there.
     """
     steps = tuple(zip(trellis.params.alphabet.amplitudes,
                       trellis.params.alphabet.squares))
     occ = dict.fromkeys(trellis.params.alphabet.amplitudes, 0)
-    if limit == trellis.num_sequences:
-        fwd, bound, offset = {0: 1}, None, 0
-    else:
-        fwd, bound, offset = {}, 0, limit
+    fwd, bound, offset = {}, 0, limit
     for back in trellis.back_columns[1:]:
         nxt = dict.fromkeys(back, 0)
         for a, s in steps:
@@ -124,6 +122,8 @@ def _occurrences(trellis: Trellis, limit: int) -> tuple[dict, dict]:
                 occ[a] += count
                 nxt[bound + s] += 1
                 offset -= count
+            else:
+                bound = None
         fwd = nxt
     return occ, {e: paths for e, paths in fwd.items() if paths}
 

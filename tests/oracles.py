@@ -121,21 +121,6 @@ def exact_moments(sequences, alphabet):
     return p, e2, e4
 
 
-def floor_log2(x):
-    assert x >= 1
-    return x.bit_length() - 1
-
-
-def sequences_through_node(sequences, col, energy):
-    """How many enumerated sequences pass through trellis node (col, energy)."""
-    hits = 0
-    for seq in sequences:
-        e = sum(a * a for a in seq[:col])
-        if e == energy:
-            hits += 1
-    return hits
-
-
 def node_table(n, alphabet, e_max, band=None):
     """Per column, (energy, backward count, forward count) of every node that
     an admissible sequence passes through, in ascending energy.

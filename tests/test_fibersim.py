@@ -254,7 +254,17 @@ class TestSsfm:
         fiber = FiberParams(0.2, 17.0, 1.3, 10.0)
         wf = random_qam_waveform(seed=9)
         wf[17] = np.inf
-        with pytest.raises(NumericalError):
+        # the span is checked after its last step
+        with pytest.raises(NumericalError, match=r"^non-finite samples after 10\.000 km$"):
+            ssfm_span(wf, RATE, fiber, step_km=1.0)
+
+    @pytest.mark.parametrize("length_km", [100.0, 64.5])
+    def test_nonfinite_found_after_32_steps(self, length_km):
+        # and after every 32nd step, so a long span stops at the first check
+        fiber = FiberParams(0.2, 17.0, 1.3, length_km)
+        wf = random_qam_waveform(n_symbols=256, seed=9)
+        wf[17] = np.inf
+        with pytest.raises(NumericalError, match=r"^non-finite samples after 32\.000 km$"):
             ssfm_span(wf, RATE, fiber, step_km=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -341,6 +351,23 @@ class TestLinearFilter:
         # 0.5, 1.0, 0.65 and 0.15 km per span
         assert len(seen) == 8
         assert all(a is b for a, b in zip(seen[:4], seen[4:]))
+
+    @pytest.mark.parametrize("length_km", [0.3, 205.0])
+    def test_lengths_equal_to_12_digits_share_a_filter(self, monkeypatch, length_km):
+        # 0.1 km divides either span only to 12 digits: its last step and
+        # the fused length before it differ from 0.1 km below that, yet
+        # reuse the 0.1 and 0.05 km filters
+        lengths = []
+        build = fibersim._linear_filter
+
+        def record(n, rate, fiber, dz_km):
+            lengths.append(dz_km)
+            return build(n, rate, fiber, dz_km)
+
+        monkeypatch.setattr(fibersim, "_linear_filter", record)
+        fiber = replace(self.FIBER, length_km=length_km)
+        ssfm_span(random_qam_waveform(n_symbols=16, seed=23), RATE, fiber, step_km=0.1)
+        assert lengths == [0.05, 0.1]
 
     def test_read_only(self):
         filt = fibersim._linear_filter(1024, RATE, self.FIBER, 0.5)
