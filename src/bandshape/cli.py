@@ -369,7 +369,3 @@ def main(argv=None) -> int:
     except (BandshapeError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -267,7 +267,7 @@ def _dispersion_filter(n: int, sample_rate_hz: float, real: float,
 _FILTER_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=4)  # a span needs at most 4 step lengths
+@functools.lru_cache(maxsize=2)  # a span's half step and whole step
 def _linear_filter(n: int, sample_rate_hz: float, fiber: FiberParams,
                    dz_km: float) -> np.ndarray:
     """The read-only spectrum filter of dz_km of dispersion and loss,
@@ -286,14 +286,13 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
               step_km: float) -> np.ndarray:
     """Symmetric split-step propagation over one span; returns a new array.
 
-    Fixed step with a shorter final step when the length is not a multiple;
-    consecutive linear half-steps are fused so each step costs one
-    FFT/IFFT pair. Periodic (FFT) boundary; callers discard a guard ring.
-
-    Linear lengths equal to 12 digits share the first one's filter, and all
-    are fetched under one lock before the first transform: one filter when
-    the step covers the span, two when it divides the span to 12 digits (as
-    0.1 km does 205 km), and at most four otherwise.
+    The span takes n = ceil(length / step_km) equal steps of length / n km,
+    so step_km is an upper bound. Consecutive linear half-steps are fused,
+    so each step costs one FFT/IFFT pair and the span needs two filters,
+    the half step at either end and the whole step between Kerr steps (one
+    when a single step covers the span), both fetched under one lock before
+    the first transform. Periodic (FFT) boundary; callers discard a guard
+    ring.
     """
     u = np.array(samples, dtype=complex)
     if u.size == 0:
@@ -304,36 +303,25 @@ def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
     if length == 0:
         return u
     n_steps = max(1, math.ceil(length / step_km - 1e-12))
-    steps = [step_km] * (n_steps - 1)
-    steps.append(length - step_km * (n_steps - 1))
-
+    dz = length / n_steps
     gamma = fiber.gamma_per_w_km
-    # the linear lengths between Kerr steps: each step's second half fused
-    # with the next step's first half, and a lone half-step at either end
-    lengths = [(a + b) / 2 for a, b in zip([0.0, *steps], [*steps, 0.0])]
-    keys = [round(dz, 12) for dz in lengths]
-    shared: dict[float, np.ndarray] = {}
     with _FILTER_LOCK:
-        for key, dz in zip(keys, lengths):
-            if key not in shared:
-                shared[key] = _linear_filter(u.size, sample_rate_hz, fiber, dz)
-    filters = [shared[key] for key in keys]
+        half = _linear_filter(u.size, sample_rate_hz, fiber, dz / 2)
+        whole = _linear_filter(u.size, sample_rate_hz, fiber, dz) if n_steps > 1 else half
 
     # u is this call's own copy, so every transform writes into it: one
     # buffer carries the samples and spectra of the whole span. numpy's
     # transforms warn on a non-finite sample; the periodic check below
     # reports it as a NumericalError instead.
     with np.errstate(invalid="ignore", over="ignore"):
-        for m, filt in enumerate(filters):
+        for m in range(n_steps + 1):
             if m:
-                _kernels.kerr_phase(u, gamma * steps[m - 1])
+                _kernels.kerr_phase(u, gamma * dz)
             spectrum = fft(u, out=u)
-            spectrum *= filt
+            spectrum *= whole if 0 < m < n_steps else half
             u = ifft(spectrum, out=spectrum)
             if m and (m % 32 == 0 or m == n_steps) and not np.isfinite(u).all():
-                raise NumericalError(
-                    f"non-finite samples after {sum(steps[:m]):.3f} km"
-                )
+                raise NumericalError(f"non-finite samples after {m * dz:.3f} km")
     return u
 
 

@@ -235,15 +235,6 @@ def index_to_bits(index, k):
     return [(index >> (k - 1 - i)) & 1 for i in range(k)]
 
 
-def population_var(values):
-    m = sum(values) / len(values)
-    return sum((v - m) ** 2 for v in values) / len(values)
-
-
-def db(x, y):
-    return 10.0 * math.log10(x / y)
-
-
 def kerr_phase_reference(samples, coeff):
     """In-place samples *= exp(1j * coeff * |samples|^2), as one expression."""
     power = samples.real**2 + samples.imag**2
@@ -252,11 +243,9 @@ def kerr_phase_reference(samples, coeff):
 
 
 def span_steps(length_km, step_km):
-    """The span's fixed steps, the last one shortened to end at length_km."""
+    """The span's steps: the fewest equal steps no longer than step_km."""
     n_steps = max(1, math.ceil(length_km / step_km - 1e-12))
-    steps = [step_km] * (n_steps - 1)
-    steps.append(length_km - step_km * (n_steps - 1))
-    return steps
+    return [length_km / n_steps] * n_steps
 
 
 def linear_operator(n, sample_rate_hz, fiber):

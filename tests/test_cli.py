@@ -175,6 +175,18 @@ class TestShapeDeshape:
         assert "note: 9 bits zero-padded" in err
         assert "deshaped 3 sequences" in err
 
+    def test_deshape_skips_blank_lines(self, tmp_path, capsys):
+        # the same three sequences as above, around empty and blank lines
+        trellis = build_toy(tmp_path)
+        amps = tmp_path / "amps.txt"
+        amps.write_text("\n1 1 1\n \t\n3 1 3\n\n1 1 3\n\n")
+        out = tmp_path / "bits.bin"
+        capsys.readouterr()
+        assert main(["deshape", "--trellis", str(trellis), "--in", str(amps),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == bytes([0b00011100, 0b10000000])
+        assert "deshaped 3 sequences" in capsys.readouterr().err
+
     def test_deshape_non_utf8_file(self, tmp_path, capsys):
         trellis = build_toy(tmp_path)
         amps = tmp_path / "binary.txt"
@@ -485,6 +497,9 @@ class TestSimulate:
         (["--sps", "3"], "sps must be >= 4"),
         (["--filter-span", "7"], "filter span must be even"),
         (["--powers=abc"], "bad power sweep"),
+        (["--powers=1:2"], "bad power sweep '1:2', expected start:step:stop"),
+        (["--powers=0:0:4"], "power sweep step must be positive"),
+        (["--schemes", ","], "no schemes requested"),
     ])
     def test_bad_setting_fails_before_trellis_loads(self, tmp_path, capsys,
                                                     monkeypatch, extra, message):

@@ -118,6 +118,8 @@ class TestRrcTaps:
             rrc_taps(0.1, 7, 8)
         with pytest.raises(ParameterError):
             rrc_taps(0.0, 16, 8)
+        with pytest.raises(ParameterError, match="sps must be >= 1"):
+            rrc_taps(0.1, 16, 0)
 
 
 class TestModulateDemodulate:
@@ -250,6 +252,18 @@ class TestSsfm:
         power = np.mean(np.abs(_scale_to_power(wf, 3.0)) ** 2)
         assert 10 * np.log10(power * 1e3) == pytest.approx(3.0, abs=1e-9)
 
+    def test_launch_power_of_all_zero_rejected(self):
+        with pytest.raises(ParameterError, match="all-zero waveform"):
+            _scale_to_power(np.zeros(16, dtype=complex), 3.0)
+
+    @pytest.mark.parametrize("samples, step_km, message", [
+        (np.zeros(0, dtype=complex), 1.0, "waveform is empty"),
+        (np.ones(16, dtype=complex), 0.0, "step_km must be positive"),
+    ])
+    def test_bad_span_input_rejected(self, samples, step_km, message):
+        with pytest.raises(ParameterError, match=message):
+            ssfm_span(samples, RATE, SPAN_FIBER, step_km)
+
     def test_nonfinite_aborts(self):
         fiber = FiberParams(0.2, 17.0, 1.3, 10.0)
         wf = random_qam_waveform(seed=9)
@@ -258,13 +272,17 @@ class TestSsfm:
         with pytest.raises(NumericalError, match=r"^non-finite samples after 10\.000 km$"):
             ssfm_span(wf, RATE, fiber, step_km=1.0)
 
-    @pytest.mark.parametrize("length_km", [100.0, 64.5])
-    def test_nonfinite_found_after_32_steps(self, length_km):
+    @pytest.mark.parametrize("length_km, where", [
+        pytest.param(100.0, "32.000", id="100.0"),
+        # 1 km does not divide 64.5 km: 32 of its 65 steps of 64.5/65 km
+        pytest.param(64.5, "31.754", id="64.5"),
+    ])
+    def test_nonfinite_found_after_32_steps(self, length_km, where):
         # and after every 32nd step, so a long span stops at the first check
         fiber = FiberParams(0.2, 17.0, 1.3, length_km)
         wf = random_qam_waveform(n_symbols=256, seed=9)
         wf[17] = np.inf
-        with pytest.raises(NumericalError, match=r"^non-finite samples after 32\.000 km$"):
+        with pytest.raises(NumericalError, match=rf"^non-finite samples after {where} km$"):
             ssfm_span(wf, RATE, fiber, step_km=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -286,8 +304,8 @@ class TestSsfm:
         np.testing.assert_allclose(out, wf, atol=1e-15)
 
     def test_matches_reference_exactly(self):
-        # 10 full steps and a 0.3 km tail: fused filters for 0.5, 1.0, 0.65
-        # and 0.15 km; 20 mW makes the Kerr phase matter
+        # 11 equal steps of 10.3/11 km, which 1 km does not divide; 20 mW
+        # makes the Kerr phase matter
         fiber = FiberParams(0.2, 17.0, 1.3, 10.3)
         wf = random_qam_waveform(seed=11)
         wf *= np.sqrt(20e-3 / np.mean(np.abs(wf) ** 2))
@@ -348,16 +366,19 @@ class TestLinearFilter:
         ssfm_span(wf, RATE, self.FIBER, step_km=1.0)
         # an equal fiber, not the same object
         ssfm_span(wf, RATE, replace(self.FIBER), step_km=1.0)
-        # 0.5, 1.0, 0.65 and 0.15 km per span
-        assert len(seen) == 8
-        assert all(a is b for a, b in zip(seen[:4], seen[4:]))
+        # the half and the whole of a 10.3/11 km step per span
+        assert len(seen) == 4
+        assert all(a is b for a, b in zip(seen[:2], seen[2:]))
 
-    @pytest.mark.parametrize("length_km", [0.3, 205.0])
-    def test_lengths_equal_to_12_digits_share_a_filter(self, monkeypatch, length_km):
-        # 0.1 km divides either span only to 12 digits: its last step and
-        # the fused length before it differ from 0.1 km below that, yet
-        # reuse the 0.1 and 0.05 km filters
-        lengths = []
+    @pytest.mark.parametrize("length_km, n_steps", [
+        pytest.param(length_km, n_steps, id=str(length_km))
+        for length_km, n_steps in ((0.3, 3), (10.3, 103), (205.0, 2050))
+    ])
+    def test_equal_steps_use_two_filters(self, monkeypatch, length_km, n_steps):
+        # n steps of the float 0.1 km do not end at any of these lengths;
+        # the span takes n equal steps of length / n km, through the
+        # filters of the half and the whole step
+        lengths, coeffs = [], []
         build = fibersim._linear_filter
 
         def record(n, rate, fiber, dz_km):
@@ -365,9 +386,13 @@ class TestLinearFilter:
             return build(n, rate, fiber, dz_km)
 
         monkeypatch.setattr(fibersim, "_linear_filter", record)
+        monkeypatch.setattr(_kernels, "kerr_phase",
+                            lambda u, coeff: coeffs.append(coeff) or u)
         fiber = replace(self.FIBER, length_km=length_km)
         ssfm_span(random_qam_waveform(n_symbols=16, seed=23), RATE, fiber, step_km=0.1)
-        assert lengths == [0.05, 0.1]
+        dz = length_km / n_steps
+        assert lengths == [dz / 2, dz]
+        assert coeffs == [fiber.gamma_per_w_km * dz] * n_steps
 
     def test_read_only(self):
         filt = fibersim._linear_filter(1024, RATE, self.FIBER, 0.5)
@@ -396,7 +421,7 @@ class TestLinearFilter:
             for step_km in (0.7, 1.0, 1.3):
                 fiber = replace(self.FIBER, length_km=length)
                 ssfm_span(wf, RATE, fiber, step_km)
-                assert cache.cache_info().currsize <= cache.cache_info().maxsize == 4
+                assert cache.cache_info().currsize <= cache.cache_info().maxsize == 2
 
     def test_concurrent_spans_build_each_filter_once(self, monkeypatch):
         # spans that start together, more than the cores: the later ones
@@ -562,6 +587,18 @@ class TestEffectiveSnr:
     def test_gain_invariant(self):
         tx = self._qpsk(2000)
         assert effective_snr(tx, 3.7 * tx) == 60.0
+
+    def test_exact_zero_error_capped(self):
+        # unnormalized +-1+-1j symbols: the fitted scale is exactly 1 and
+        # the error power exactly zero
+        rng = np.random.default_rng(17)
+        tx = rng.choice([-1.0, 1.0], 2000) + 1j * rng.choice([-1.0, 1.0], 2000)
+        assert effective_snr(tx, tx.copy()) == 60.0
+
+    def test_length_mismatch_rejected(self):
+        tx = self._qpsk(2000)
+        with pytest.raises(ParameterError, match="differ in length"):
+            effective_snr(tx, tx[:-1])
 
     def test_short_input_rejected(self):
         tx = self._qpsk(100)
@@ -822,6 +859,12 @@ class TestParamValidation:
             small_link(rrc_rolloff=0.0)
         with pytest.raises(ParameterError):
             small_link(step_km=0.0)
+        with pytest.raises(ParameterError, match="baud rate must be positive"):
+            small_link(baud_rate_gbd=0.0)
+        with pytest.raises(ParameterError, match="noise figure must be nonnegative"):
+            small_link(edfa_nf_db=-1.0)
+        with pytest.raises(ParameterError, match="guard must be nonnegative"):
+            small_link(guard_symbols=-1)
         with pytest.raises(ParameterError):
             small_link(guard_symbols=3000)  # 2*guard >= burst
         for span in (7, 6):  # rrc_taps's rule, checked before any rail is encoded
@@ -837,6 +880,8 @@ class TestParamValidation:
             FiberParams(-0.1, 17.0, 1.3, 10.0)
         with pytest.raises(ParameterError):
             FiberParams(0.2, 17.0, 1.3, -1.0)
+        with pytest.raises(ParameterError, match="reference wavelength must be positive"):
+            FiberParams(0.2, 17.0, 1.3, 10.0, ref_wavelength_nm=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [

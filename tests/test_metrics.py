@@ -436,6 +436,13 @@ class TestOperatingPointSearch:
     def test_matches_every_geometry_scanned(self, n, k):
         assert find_band_operating_point(n, A1357, k) == operating_point_scan(n, A1357, k)
 
+    def test_no_band_with_reduced_kurtosis(self):
+        # two amplitudes of {1, 3} at k=1: no band in the grid holds two
+        # sequences with a lower kurtosis than the sphere's
+        with pytest.raises(InfeasibleRateError,
+                           match="no band in the search grid reaches k=1 with reduced kurtosis"):
+            find_band_operating_point(2, A13, 1)
+
     def test_n108_walks_heights_down(self, monkeypatch):
         # per width: heights 16 down to 7, each search starting where the
         # taller band's stopped; height 6 is never searched, because its

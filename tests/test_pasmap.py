@@ -70,6 +70,10 @@ class TestMapQamNormalize:
         with pytest.raises(ParameterError):
             map_qam([1, 1], [1])
 
+    def test_normalize_all_zero(self):
+        with pytest.raises(ParameterError, match="all-zero stream"):
+            normalize(np.zeros(4, dtype=complex))
+
     def test_normalize_empty(self):
         with pytest.raises(ParameterError):
             normalize(np.array([], dtype=complex))

@@ -86,6 +86,10 @@ class TestParams:
         with pytest.raises(ParameterError):
             TrellisParams(3, A135, 2)
 
+    def test_no_amplitudes_rejected(self):
+        with pytest.raises(ParameterError, match="n_amplitudes must be >= 1"):
+            TrellisParams(0, A135, 0)
+
     def test_offgrid_emax_rounds_down(self):
         p = TrellisParams(3, A135, 30)
         assert p.e_max == 27
@@ -366,6 +370,10 @@ class TestMinEmax:
     def test_infeasible(self):
         with pytest.raises(InfeasibleRateError):
             min_emax_for_bits(3, A13, 4)  # 2^3 sequences max
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ParameterError, match="k must be >= 0"):
+            min_emax_for_bits(3, A13, -1)
 
     def test_infeasible_k_is_rejected_before_2_to_k_exists(self):
         # 2**(10**9) alone would take 125 MB
