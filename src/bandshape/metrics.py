@@ -1,5 +1,5 @@
 """Shaping-ensemble statistics: amplitude distributions, energy moments,
-per-sequence energy variability, and dB comparisons between codebooks.
+and dB comparisons between codebooks.
 
 Exact metrics run over all sequences of a trellis with uniform sequence
 weighting, and depend only on each amplitude's occurrence count. A sphere
@@ -7,8 +7,10 @@ is closed under permutation, so its counts are n times its first column's.
 A band's count of amplitude a feeding position n is
 fwd(n, e) * back(n+1, e + a^2) summed over the nodes of column n, where fwd
 counts the paths from the origin. The band search builds no trellis: it
-scores each geometry from trellis._count_occurrences, a packed count pass
-over the geometry's windows. The used subset, the first 2**k
+scores each geometry from trellis._count_occurrences, which weights the
+packed prefix-count columns that trellis._forward yields over the
+geometry's windows, two adjacent columns at a time; an empty geometry
+raises there, at the same column as a build. The used subset, the first 2**k
 sequences the codec sends, takes the same forward pass with one change:
 fwd counts only the prefixes below the boundary path of index 2**k, and a
 walk down that path adds each lower branch as a new forward source and the
@@ -32,7 +34,6 @@ from .trellis import (  # noqa: F401
     Trellis,
     TrellisParams,
     _count_occurrences,
-    _integer,
     # no call here builds a trellis any more, but perfbench's tracer wraps
     # metrics.build_full_trellis and metrics.build_band_trellis, so the
     # names stay
@@ -217,27 +218,6 @@ def sampled_metrics(trellis: Trellis) -> SampledMetrics:
         se_e2 = float("inf")
     return SampledMetrics(amps, p, e2, e4, var_e, kurtosis,
                           num_samples=count, se_e2=se_e2)
-
-
-def windowed_energy_deviation(seq, window_len: int):
-    """Sliding-window (stride 1) energy sums and their population deviation;
-    at window_len 1, the squared amplitudes and their standard deviation."""
-    values = tuple(_integer(v, "amplitude") for v in seq)
-    window_len = _integer(window_len, "window_len")
-    if not 1 <= window_len <= len(values):
-        raise ParameterError(
-            f"window_len must be in [1, {len(values)}], got {window_len}"
-        )
-    sq = [v * v for v in values]
-    sums = []
-    acc = sum(sq[:window_len])
-    sums.append(acc)
-    for i in range(window_len, len(sq)):
-        acc += sq[i] - sq[i - window_len]
-        sums.append(acc)
-    mean = sum(sums) / len(sums)
-    dev = math.sqrt(sum((s - mean) ** 2 for s in sums) / len(sums))
-    return tuple(sums), dev
 
 
 def compare_db(x, y) -> float:

@@ -13,9 +13,10 @@ admitted sequences accumulate energy near-linearly.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import pairwise, repeat
 
 from .errors import (
     EmptyCodebookError,
@@ -204,11 +205,11 @@ def _level_windows(params: TrellisParams, band: BandParams | None):
         yield (lo - m * min_sq) // 8, hi if hi < top else top
 
 
-def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int, int]]:
+def _forward(windows, width: int, shifts: tuple[int, ...], op):
     """Packed per-column values of the paths from the origin, as (base, column)
-    pairs: path counts with op = operator.add at W bits per level (see _packing),
-    reachability, the levels _build sums counts over, with op = operator.or_
-    at 1 bit per level, W times cheaper.
+    pairs yielded one column at a time: path counts with op = operator.add
+    at W bits per level (see _packing), reachability, the levels _build sums
+    counts over, with op = operator.or_ at 1 bit per level, W times cheaper.
 
     Each step combines one shifted copy of the column per amplitude (the step
     polynomial is sparse, so this beats a big-integer multiply), then cuts
@@ -216,13 +217,14 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
     W bits, and never drops. The first copy is the column itself (a_min's
     shift is 0). A copy that would land wholly above hi is never made, so
     the result reaches at most twice as far above base as hi does, however
-    large a_max is. The list ends before the first empty column.
+    large a_max is. The first column that admits nothing raises
+    EmptyCodebookError, the one place a codebook is found empty.
     """
     col, base = 1, 0
-    cols = [(base, col)]
+    yield base, col
     rest = shifts[1:]
     masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
-    for lo, hi in windows:
+    for m, (lo, hi) in enumerate(windows, 1):
         nxt, limit = col, width * (hi - base)
         for s in rest:  # ascending, so every later copy lands higher still
             if s > limit:
@@ -232,73 +234,66 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op) -> list[tuple[int
         if lo > base:
             col >>= width * (lo - base)
             base = lo
-        if hi < base:
-            break
-        span = hi - base + 1
+        span = hi - base + 1  # < 1: the window lies below every level held
         if span not in masks:
-            masks[span] = (1 << (width * span)) - 1
+            masks[span] = (1 << (width * span)) - 1 if span > 0 else 0
         col &= masks[span]
         if not col:
-            break
-        cols.append((base, col))
-    return cols
+            raise EmptyCodebookError(f"no admissible node at column {m}; band too narrow")
+        yield base, col
 
 
 def _count_only(params: TrellisParams, band: BandParams | None) -> int:
     """Sequence count without building the trellis; 0 for an empty band.
 
-    The last column of the forward pass, summed over its levels (see _packing).
+    The last column of the forward pass, summed over its levels (see
+    _packing); no earlier column is kept.
     """
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
-    cols = _forward(_level_windows(params, band), width, shifts, operator.add)
-    return cols[-1][1] % ((1 << width) - 1) if len(cols) > params.n_amplitudes else 0
+    columns = _forward(_level_windows(params, band), width, shifts, operator.add)
+    try:
+        (_, last), = deque(columns, maxlen=1)
+    except EmptyCodebookError:
+        return 0
+    return last % ((1 << width) - 1)
 
 
 def _count_occurrences(params: TrellisParams,
                        band: BandParams | None) -> tuple[int, dict[int, int]]:
     """Sequence count and each amplitude's occurrences over all sequences,
     from one packed forward pass, without building the trellis; raises
-    EmptyCodebookError where _build does.
+    EmptyCodebookError where _build does, from _forward.
 
-    f is _forward's column of prefix counts. Column g of amplitude a_i holds
-    the same prefixes, each weighted by how often a_i occurs in it:
-    appending any amplitude keeps a prefix's weight, and appending a_i adds
-    the prefix once more, so g' = sum_b g << s_b + f << s_i, cut to the
-    window as f is. Each final column summed over its levels (see _packing)
-    is the count or an amplitude's occurrences. a_min takes no column: a
-    sequence holds n amplitudes, so its occurrences are n*count less the
-    others'. The cost is window levels, not nodes, like _count_only's.
+    f is _forward's column of prefix counts, read one pair of columns at a
+    time. Column g of amplitude a_i holds the same prefixes, each weighted by
+    how often a_i occurs in it: appending any amplitude keeps a prefix's
+    weight, and appending a_i adds the prefix once more, so
+    g' = sum_b g << s_b + f << s_i, shifted down by the next column's base
+    change as f is. A level holds no weight without a prefix, so g' is cut
+    at the next f's top level, and a copy that would land above it is never
+    made. Each final column summed over its levels (see _packing) is the
+    count or an amplitude's occurrences. a_min takes no column: a sequence
+    holds n amplitudes, so its occurrences are n*count less the others'.
+    The cost is window levels, not nodes, like _count_only's.
     """
     width, shifts = _packing(params.n_amplitudes, params.alphabet)
     rest = shifts[1:]
-    f, gs, base = 1, [0] * len(rest), 0
-    masks: dict[int, int] = {}
-    for m, (lo, hi) in enumerate(_level_windows(params, band), 1):
-        limit = width * (hi - base)
-        steps = [s for s in rest if s <= limit]  # as _forward skips them
-        nxt_f, nxt_gs = f, []
-        for s in steps:
-            nxt_f += f << s
+    gs = [0] * len(rest)
+    columns = _forward(_level_windows(params, band), width, shifts, operator.add)
+    for (base, f), (nxt_base, nxt) in pairwise(columns):
+        cut = width * (nxt_base - base)
+        keep = width * -(-nxt.bit_length() // width)  # bits up to nxt's top level
+        mask = (1 << keep) - 1
+        steps = [s for s in rest if s < cut + keep]
+        nxt_gs = []
         for g, own in zip(gs, rest):
-            out = g if own > limit else g + (f << own)
-            for s in steps:
-                out += g << s
-            nxt_gs.append(out)
-        f, gs = nxt_f, nxt_gs
-        if lo > base:
-            cut = width * (lo - base)
-            f >>= cut
-            gs = [g >> cut for g in gs]
-            base = lo
-        span = max(hi - base + 1, 0)  # 0: the window lies below every level held
-        if span not in masks:
-            masks[span] = (1 << (width * span)) - 1
-        f &= masks[span]
-        if not f:
-            raise EmptyCodebookError(f"no admissible node at column {m}; band too narrow")
-        gs = [g & masks[span] for g in gs]
+            out = g
+            for s in steps:  # the copy at a_i's own shift carries f too
+                out += (g + f if s == own else g) << s
+            nxt_gs.append((out >> cut if cut else out) & mask)  # >> 0 would copy
+        gs = nxt_gs
     fold = (1 << width) - 1
-    count = f % fold
+    count = nxt % fold
     occ = [g % fold for g in gs]
     amps = params.alphabet.amplitudes
     return count, dict(zip(amps, [params.n_amplitudes * count - sum(occ), *occ]))
@@ -320,11 +315,7 @@ def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
     """
     squares = params.alphabet.squares
     offsets = tuple((s - squares[0]) // 8 for s in squares)
-    reach = _forward(_level_windows(params, band), 1, offsets, operator.or_)
-    if len(reach) <= params.n_amplitudes:
-        raise EmptyCodebookError(
-            f"no admissible node at column {len(reach)}; band too narrow"
-        )
+    reach = list(_forward(_level_windows(params, band), 1, offsets, operator.or_))
     back, get = [], None
     for m, (base, mask) in reversed(list(enumerate(reach))):
         e0, counts = m * squares[0] + 8 * base, {}

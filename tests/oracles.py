@@ -7,7 +7,9 @@ counts each grid point with `trellis._count_only`, so it checks only the
 band search's scan around those counts, `forward_columns` and
 `exact_metrics_reference` take a trellis's node set as given and count the
 paths into it and the amplitudes along them, and `node_lines` writes that
-node set out as the node lines of file formats v1 and v2. The
+node set out as the node lines of file formats v1 and v2.
+`windowed_energy_deviation` measures one sequence's window energies
+directly, the oracle for any exact codebook-wide window-energy variance. The
 e_max search is checked against enumeration by
 `TestMinEmax.test_matches_bruteforce_scan`. The
 bit packers move one bit at a time, independently of the codec's
@@ -25,9 +27,9 @@ from collections import defaultdict
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft, next_fast_len
 
-from bandshape.errors import InfeasibleRateError
+from bandshape.errors import InfeasibleRateError, ParameterError
 from bandshape.metrics import ShapingMetrics, _metrics_from_occurrences
-from bandshape.trellis import TrellisParams, _count_only
+from bandshape.trellis import TrellisParams, _count_only, _integer
 
 
 def band_bounds(col, n_total, e_max, height, width, a_max):
@@ -119,6 +121,27 @@ def exact_moments(sequences, alphabet):
     e2 = sum(p[a] * a * a for a in alphabet)
     e4 = sum(p[a] * a ** 4 for a in alphabet)
     return p, e2, e4
+
+
+def windowed_energy_deviation(seq, window_len: int):
+    """Sliding-window (stride 1) energy sums and their population deviation;
+    at window_len 1, the squared amplitudes and their standard deviation."""
+    values = tuple(_integer(v, "amplitude") for v in seq)
+    window_len = _integer(window_len, "window_len")
+    if not 1 <= window_len <= len(values):
+        raise ParameterError(
+            f"window_len must be in [1, {len(values)}], got {window_len}"
+        )
+    sq = [v * v for v in values]
+    sums = []
+    acc = sum(sq[:window_len])
+    sums.append(acc)
+    for i in range(window_len, len(sq)):
+        acc += sq[i] - sq[i - window_len]
+        sums.append(acc)
+    mean = sum(sums) / len(sums)
+    dev = math.sqrt(sum((s - mean) ** 2 for s in sums) / len(sums))
+    return tuple(sums), dev
 
 
 def node_table(n, alphabet, e_max, band=None):

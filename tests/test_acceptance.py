@@ -28,11 +28,7 @@ from bandshape.fibersim import (
     run_sweep,
     ssfm_span,
 )
-from bandshape.metrics import (
-    compare_db,
-    find_band_operating_point,
-    windowed_energy_deviation,
-)
+from bandshape.metrics import compare_db, find_band_operating_point
 from bandshape.trellis import (
     Alphabet,
     BandParams,
@@ -43,7 +39,7 @@ from bandshape.trellis import (
     min_emax_for_bits,
 )
 
-from oracles import enumerate_sequences
+from oracles import enumerate_sequences, windowed_energy_deviation
 
 A1357 = Alphabet((1, 3, 5, 7))
 

@@ -23,13 +23,13 @@ from bandshape.metrics import (
     find_band_operating_point,
     sampled_metrics,
     used_metrics,
-    windowed_energy_deviation,
 )
 from bandshape.trellis import (
     Alphabet,
     BandParams,
     TrellisParams,
     _count_occurrences,
+    _count_only,
     build_band_trellis,
     build_full_trellis,
     max_shaping_bits,
@@ -43,6 +43,7 @@ from oracles import (
     exact_metrics_reference,
     exact_moments,
     min_emax_scan,
+    windowed_energy_deviation,
 )
 
 A13 = Alphabet((1, 3))
@@ -337,11 +338,24 @@ class TestCountOccurrences:
     def test_empty_band_raises_as_the_build_does(self, n, amps, e_max, band):
         # the same column empties in both passes: 1, 4 and 6 here
         params, band = TrellisParams(n, Alphabet(amps), e_max), BandParams(*band)
-        with pytest.raises(EmptyCodebookError) as built:
+        column = {6: 1, 5: 4, 7: 6}[n]
+        with pytest.raises(EmptyCodebookError, match=f"at column {column};") as built:
             build_band_trellis(params, band)
         with pytest.raises(EmptyCodebookError) as counted:
             _count_occurrences(params, band)
         assert str(counted.value) == str(built.value)
+        assert _count_only(params, band) == 0
+
+    @pytest.mark.parametrize("n, amps, e_max, band", [
+        (5, (1, 3, 5), 69, (2, 1)), (108, (1, 3, 5, 7), 2708, (3, 1)),
+        (3, (1, 4999), 74970003, (1000000, 0)),
+    ])
+    def test_dead_level_and_sparse_bands(self, n, amps, e_max, band):
+        # reached levels that lead to no final level, and windows far wider
+        # than the levels any prefix reaches: the weights are cut at the
+        # prefix counts' top level, not at the window's
+        params = TrellisParams(n, Alphabet(amps), e_max)
+        assert_counts_occurrences(params, BandParams(*band))
 
 
 class TestSequenceEnergyStats:

@@ -20,6 +20,7 @@ from bandshape.trellis import (
     BandParams,
     TrellisParams,
     _build,
+    _count_occurrences,
     _count_only,
     _level_windows,
     build_band_trellis,
@@ -564,6 +565,13 @@ class TestCountOnly:
                                           _level_windows(params, None)):
             assert lo >= lo_s and hi <= hi_s
         assert _count_only(params, band) <= _count_only(params, None)
+
+    def test_count_passes_hold_one_column_at_a_time(self):
+        # the N=432 sphere's packed columns grow to 361 levels of 874 bits;
+        # a count pass that kept every column peaked at 17.5 MB
+        params = TrellisParams(432, A1357, min_emax_for_bits(432, A1357, 648))
+        assert traced_peak(_count_only, params, None) < 4 << 20
+        assert traced_peak(_count_occurrences, params, None) < 4 << 20
 
 
 class TestNodeTable:
