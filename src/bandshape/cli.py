@@ -9,6 +9,7 @@ used (readers should skip '#' lines).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -290,7 +291,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process. Each subcommand names its
+    `cmd_*` function, which `main` looks up when it runs, so a wrapper or a
+    substitute set on this module after the first call still applies."""
     parser = argparse.ArgumentParser(
         prog="bandshape",
         description="Sphere-shaping codec (full and band-restricted trellises) "
@@ -310,22 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pick the smallest e_max reaching this many bits")
     build.add_argument("--band", help="band restriction HEIGHT,WIDTH")
     build.add_argument("--out", required=True, help="output trellis file")
-    build.set_defaults(run=cmd_build)
+    build.set_defaults(run="cmd_build")
     info = tsub.add_parser("info", help="print parameters, counts, and metrics")
     info.add_argument("file")
-    info.set_defaults(run=cmd_info)
+    info.set_defaults(run="cmd_info")
 
     shape_p = sub.add_parser("shape", help="bit file -> amplitude file")
     shape_p.add_argument("--trellis", required=True)
     shape_p.add_argument("--in", dest="infile", required=True)
     shape_p.add_argument("--out", required=True)
-    shape_p.set_defaults(run=cmd_shape)
+    shape_p.set_defaults(run="cmd_shape")
 
     deshape_p = sub.add_parser("deshape", help="amplitude file -> bit file")
     deshape_p.add_argument("--trellis", required=True)
     deshape_p.add_argument("--in", dest="infile", required=True)
     deshape_p.add_argument("--out", required=True)
-    deshape_p.set_defaults(run=cmd_deshape)
+    deshape_p.set_defaults(run="cmd_deshape")
 
     stats = sub.add_parser("stats", help="exact metrics of the whole trellis "
                                          "and of the 2^k used sequences")
@@ -336,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="accepted, echoed as sampled_seed, and ignored")
     stats.add_argument("--csv", help="also write a CSV report")
-    stats.set_defaults(run=cmd_stats)
+    stats.set_defaults(run="cmd_stats")
 
     compare = sub.add_parser("compare", help="side-by-side metrics of two trellises")
     compare.add_argument("--a", required=True)
     compare.add_argument("--b", required=True)
     compare.add_argument("--csv", help="also write a CSV report")
-    compare.set_defaults(run=cmd_compare)
+    compare.set_defaults(run="cmd_compare")
 
     simulate = sub.add_parser("simulate", help="launch-power sweep over the fiber")
     simulate.add_argument("--trellis-ess", dest="trellis_ess")
@@ -357,15 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
         flag = "--" + key.replace("_", "-")
         simulate.add_argument(flag, dest=key, type=type(default), default=default,
                               help=f"default {default}")
-    simulate.set_defaults(run=cmd_simulate)
+    simulate.set_defaults(run="cmd_simulate")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return globals()[args.run](args)
     except (BandshapeError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

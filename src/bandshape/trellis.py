@@ -223,7 +223,7 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op):
     col, base = 1, 0
     yield base, col
     rest = shifts[1:]
-    masks: dict[int, int] = {}  # levels kept -> their bit mask; band spans repeat
+    span, mask = 0, 0  # the last window's levels kept, and their bit mask
     for m, (lo, hi) in enumerate(windows, 1):
         nxt, limit = col, width * (hi - base)
         for s in rest:  # ascending, so every later copy lands higher still
@@ -234,10 +234,10 @@ def _forward(windows, width: int, shifts: tuple[int, ...], op):
         if lo > base:
             col >>= width * (lo - base)
             base = lo
-        span = hi - base + 1  # < 1: the window lies below every level held
-        if span not in masks:
-            masks[span] = (1 << (width * span)) - 1 if span > 0 else 0
-        col &= masks[span]
+        if hi - base + 1 != span:  # a band's spans repeat, a sphere's grow
+            span = hi - base + 1  # < 1: the window lies below every level held
+            mask = (1 << (width * span)) - 1 if span > 0 else 0
+        col &= mask
         if not col:
             raise EmptyCodebookError(f"no admissible node at column {m}; band too narrow")
         yield base, col
@@ -299,6 +299,27 @@ def _count_occurrences(params: TrellisParams,
     return count, dict(zip(amps, [params.n_amplitudes * count - sum(occ), *occ]))
 
 
+def _fetch_plan(squares: tuple[int, ...], size: int) -> list[tuple]:
+    """How _build fetches the children of a run of `size` adjacent levels.
+
+    The children that amplitude a adds to the run lo..hi are the `size`
+    levels from lo + a**2. Amplitudes whose child ranges overlap or touch,
+    squares at most 8*size apart, share one fetch, the levels from
+    lo + first to hi + last, where first and last are the group's lowest
+    and highest squares. One (first, last, starts) triple per fetch; starts
+    holds where each amplitude's children begin in it. The grouping depends
+    on the run's length alone, so a build makes one plan per length.
+    """
+    groups = []
+    for s in squares:
+        if groups and s - groups[-1][1] <= 8 * size:
+            groups[-1][1] = s
+            groups[-1][2].append((s - groups[-1][0]) // 8)
+        else:
+            groups.append([s, s, [0]])
+    return [tuple(group) for group in groups]
+
+
 def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
     """The nodes with their backward counts.
 
@@ -309,14 +330,16 @@ def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
     children's, and a child absent from the next column's dict counts 0. A
     node is a reached level that leads to the final column, one whose count
     is not 0, so dropping the zeros leaves each dict holding the nodes
-    alone. The children are summed side by side, not through one map per
-    amplitude chained onto the last: a chain nests as deep as the alphabet
-    is long, and a long enough alphabet overflows the C stack.
+    alone. A run fetches each child level once (see _fetch_plan) and adds
+    the amplitudes' slices of the fetch one at a time into a new list, so
+    no chain of maps nests as deep as the alphabet is long, which a long
+    enough alphabet would take past the C stack. A run of one level sums
+    its children directly: there is nothing to share.
     """
     squares = params.alphabet.squares
     offsets = tuple((s - squares[0]) // 8 for s in squares)
     reach = list(_forward(_level_windows(params, band), 1, offsets, operator.or_))
-    back, get = [], None
+    back, get, plans = [], None, {}
     for m, (base, mask) in reversed(list(enumerate(reach))):
         e0, counts = m * squares[0] + 8 * base, {}
         while mask:
@@ -328,8 +351,23 @@ def _build(params: TrellisParams, band: BandParams | None) -> Trellis:
             if get is None:  # the final column
                 counts.update(dict.fromkeys(range(lo, hi, 8), 1))
                 continue
-            children = [map(get, range(lo + s, hi + s, 8), repeat(0)) for s in squares]
-            counts.update(zip(range(lo, hi, 8), map(sum, zip(*children))))
+            size = (hi - lo) // 8
+            if size == 1:
+                total = 0
+                for s in squares:
+                    total += get(lo + s, 0)
+                counts[lo] = total
+                continue
+            if size not in plans:
+                plans[size] = _fetch_plan(squares, size)
+            parts = []
+            for first, last, starts in plans[size]:
+                fetched = list(map(get, range(lo + first, hi + last, 8), repeat(0)))
+                parts += [fetched[j:j + size] for j in starts]
+            total = parts[0]
+            for part in parts[1:]:
+                total = list(map(operator.add, total, part))
+            counts.update(zip(range(lo, hi, 8), total))
         if not all(counts.values()):
             counts = {e: c for e, c in counts.items() if c}
         back.append(counts)

@@ -1,6 +1,9 @@
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -696,3 +699,40 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+class TestParserOnce:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_subcommand_looked_up_when_main_runs(self, tmp_path, monkeypatch):
+        # the cached parser names cmd_info; a substitute set after the first
+        # parse is the one that runs, as a tracer's wrapper must be
+        build_toy(tmp_path)
+        monkeypatch.setattr(cli, "cmd_info", lambda args: 7)
+        assert main(["trellis", "info", str(tmp_path / "toy.trellis")]) == 7
+
+    def test_failed_call_leaves_no_trace(self, tmp_path, capsys):
+        # an argparse rejection and a command's own error, each exit 2, then
+        # a valid call: its stdout and files match a fresh process's
+        with pytest.raises(SystemExit) as info:
+            main(["trellis", "build", "--n", "x", "--alphabet", "1,3,5",
+                  "--emax", "27", "--out", str(tmp_path / "bad.trellis")])
+        assert info.value.code == 2
+        assert main(["trellis", "info", str(tmp_path / "missing.trellis")]) == 2
+        capsys.readouterr()
+        argv = ["trellis", "build", "--n", "6", "--alphabet", "1,3,9",
+                "--bits", "5", "--band", "8,1", "--out"]
+        assert main([*argv, str(tmp_path / "here.trellis")]) == 0
+        assert main(["stats", "--trellis", str(tmp_path / "here.trellis")]) == 0
+        here = capsys.readouterr().out
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys\nfrom bandshape.cli import main\n"
+                f"assert main({[*argv, 'fresh.trellis']!r}) == 0\n"
+                "assert main(['stats', '--trellis', 'fresh.trellis']) == 0\n")
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True, cwd=tmp_path,
+                               env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert here == fresh
+        assert ((tmp_path / "here.trellis").read_bytes()
+                == (tmp_path / "fresh.trellis").read_bytes())

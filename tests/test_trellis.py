@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandshape import trellis as trellis_module
@@ -22,6 +22,7 @@ from bandshape.trellis import (
     _build,
     _count_occurrences,
     _count_only,
+    _fetch_plan,
     _level_windows,
     build_band_trellis,
     build_full_trellis,
@@ -34,6 +35,7 @@ from bandshape.trellis import (
 )
 
 from oracles import (
+    GAPPED,
     band_bounds,
     count_sequences,
     enumerate_sequences,
@@ -573,18 +575,33 @@ class TestCountOnly:
         assert traced_peak(_count_only, params, None) < 4 << 20
         assert traced_peak(_count_occurrences, params, None) < 4 << 20
 
+    def test_forward_keeps_one_mask(self):
+        # the sphere's window spans never repeat: a pass that kept the mask
+        # of every span held 1.21 MB of masks here and peaked at 1.46 MB
+        params = TrellisParams(432, A1357, 3312)
+        assert traced_peak(_count_only, params, None) < 1 << 19
+
+
+# (n, alphabet, e_max, band) cases whose runs of reached levels stress the
+# build's shared child fetch and its zero drop: oracles.GAPPED; a band with
+# 7 nodes of 10 reached levels; a band whose column 1 holds a level that
+# leads to no final level in a run of its own; {1,3,7}, whose squares lie
+# 0, 1 and 6 levels above a run: column 4's first run has 5 levels, so
+# 3**2's and 7**2's child ranges touch and share one fetch, and column 3's
+# has 4, so they do not; and a band over {1,3,7}
+RUN_CASES = (
+    *GAPPED,
+    (5, (1, 3, 5), 69, (2, 1)),
+    (3, (1, 3, 5, 7), 83, (3, 1)),
+    (5, (1, 3, 7), 245, None),
+    (6, (1, 3, 7), 294, (6, 2)),
+)
+
 
 class TestNodeTable:
-    # examples with reached levels that lead to no final level, which a
-    # build drops: 7 nodes of 10 reached levels, then oracles.GAPPED's two
-    # banded cases, whose columns have gaps (the second has 1 such level)
-    @settings(max_examples=150, deadline=None)
-    @given(count_cases(max_n=6))
-    @example((TrellisParams(5, A135, 69), BandParams(2, 1)))
-    @example((TrellisParams(7, Alphabet((1, 7)), 199), BandParams(13, 1)))
-    @example((TrellisParams(6, Alphabet((1, 3, 9)), 86), BandParams(8, 1)))
-    def test_matches_enumeration(self, case):
-        params, band = case
+    # node for node: the same energies, in ascending order, with the same
+    # backward counts (and the forward counts summed from them)
+    def check(self, params, band):
         t = built_or_none(params, band)
         want = node_table(params.n_amplitudes, params.alphabet.amplitudes, params.e_max,
                           band and (band.height, band.width))
@@ -592,6 +609,24 @@ class TestNodeTable:
             assert not any(want)
         else:
             assert table(t) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_cases(max_n=6))
+    def test_matches_enumeration(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n, amps, e_max, band", RUN_CASES)
+    def test_pinned_cases(self, n, amps, e_max, band):
+        params, band = TrellisParams(n, Alphabet(amps), e_max), band and BandParams(*band)
+        assert built_or_none(params, band) is not None
+        self.check(params, band)
+
+    def test_fetch_plan_follows_run_length(self):
+        # squares 1, 9, 49 lie 0, 1 and 6 levels above a run
+        assert _fetch_plan((1, 9, 49), 1) == [(1, 9, [0, 1]), (49, 49, [0])]
+        assert _fetch_plan((1, 9, 49), 4) == [(1, 9, [0, 1]), (49, 49, [0])]
+        assert _fetch_plan((1, 9, 49), 5) == [(1, 49, [0, 1, 6])]
+        assert _fetch_plan((1, 49), 5) == [(1, 1, [0]), (49, 49, [0])]
 
 
 class TestParseText:
