@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import random
-import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
@@ -252,6 +251,8 @@ def _dispersion_filter(n: int, sample_rate_hz: float, real: float,
     The imaginary part is built in the result's own buffer and exponentiated
     there, so the grid never exists as a complex temporary.
     """
+    if n < 1:
+        raise ParameterError("waveform is empty")
     filt = np.empty(n, dtype=complex)
     phase = filt.imag
     np.multiply(2 * np.pi, fftfreq(n, 1 / sample_rate_hz), out=phase)
@@ -262,18 +263,11 @@ def _dispersion_filter(n: int, sample_rate_hz: float, real: float,
     return np.exp(filt, out=filt)
 
 
-# Serializes _linear_filter's misses, so that links starting together build
-# each filter once and share it.
-_FILTER_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=2)  # a span's half step and whole step
 def _linear_filter(n: int, sample_rate_hz: float, fiber: FiberParams,
                    dz_km: float) -> np.ndarray:
     """The read-only spectrum filter of dz_km of dispersion and loss,
     exp((0.5j beta2 w**2 - 0.5 alpha) dz_km), for n samples at
-    sample_rate_hz. A pure function of its arguments, so every link of a
-    sweep shares one array per step length."""
+    sample_rate_hz."""
     beta2_km = fiber.beta2_s2_per_m * 1e3  # s^2/km
     alpha_km = fiber.alpha_db_per_km * math.log(10) / 10  # 1/km, power
     filt = _dispersion_filter(n, sample_rate_hz, -(0.5 * alpha_km) * dz_km,
@@ -282,45 +276,52 @@ def _linear_filter(n: int, sample_rate_hz: float, fiber: FiberParams,
     return filt
 
 
-def ssfm_span(samples, sample_rate_hz: float, fiber: FiberParams,
-              step_km: float) -> np.ndarray:
-    """Symmetric split-step propagation over one span; returns a new array.
+def span_filters(n: int, sample_rate_hz: float, fiber: FiberParams,
+                 step_km: float) -> tuple[np.ndarray, ...]:
+    """One read-only filter per linear stage of the span, for n samples.
 
-    The span takes n = ceil(length / step_km) equal steps of length / n km,
-    so step_km is an upper bound. Consecutive linear half-steps are fused,
-    so each step costs one FFT/IFFT pair and the span needs two filters,
-    the half step at either end and the whole step between Kerr steps (one
-    when a single step covers the span), both fetched under one lock before
-    the first transform. Periodic (FFT) boundary; callers discard a guard
-    ring.
-    """
-    u = np.array(samples, dtype=complex)
-    if u.size == 0:
-        raise ParameterError("waveform is empty")
+    The span takes n_steps = ceil(length / step_km) equal steps, so step_km
+    is an upper bound. Fusing consecutive half steps gives the stages
+    (half, whole * (n_steps - 1), half) over two arrays (one when a single
+    step covers the span); a zero-length span has none."""
     if step_km <= 0:
         raise ParameterError("step_km must be positive")
     length = fiber.length_km
     if length == 0:
-        return u
+        return ()
     n_steps = max(1, math.ceil(length / step_km - 1e-12))
     dz = length / n_steps
-    gamma = fiber.gamma_per_w_km
-    with _FILTER_LOCK:
-        half = _linear_filter(u.size, sample_rate_hz, fiber, dz / 2)
-        whole = _linear_filter(u.size, sample_rate_hz, fiber, dz) if n_steps > 1 else half
+    half = _linear_filter(n, sample_rate_hz, fiber, dz / 2)
+    whole = _linear_filter(n, sample_rate_hz, fiber, dz) if n_steps > 1 else half
+    return (half, *[whole] * (n_steps - 1), half)
+
+
+def ssfm_span(samples, fiber: FiberParams, filters) -> np.ndarray:
+    """Symmetric split-step propagation over one span; returns a new array.
+
+    filters is span_filters' tuple for these samples: each stage costs one
+    FFT/IFFT pair, and a Kerr step of length / (len(filters) - 1) km runs
+    between consecutive stages. Periodic (FFT) boundary; callers discard a
+    guard ring.
+    """
+    u = np.array(samples, dtype=complex)
+    if not filters:
+        return u
+    last = len(filters) - 1
+    dz = fiber.length_km / last
 
     # u is this call's own copy, so every transform writes into it: one
     # buffer carries the samples and spectra of the whole span. numpy's
     # transforms warn on a non-finite sample; the periodic check below
     # reports it as a NumericalError instead.
     with np.errstate(invalid="ignore", over="ignore"):
-        for m in range(n_steps + 1):
+        for m, filt in enumerate(filters):
             if m:
-                _kernels.kerr_phase(u, gamma * dz)
+                _kernels.kerr_phase(u, fiber.gamma_per_w_km * dz)
             spectrum = fft(u, out=u)
-            spectrum *= whole if 0 < m < n_steps else half
+            spectrum *= filt
             u = ifft(spectrum, out=spectrum)
-            if m and (m % 32 == 0 or m == n_steps) and not np.isfinite(u).all():
+            if m and (m % 32 == 0 or m == last) and not np.isfinite(u).all():
                 raise NumericalError(f"non-finite samples after {m * dz:.3f} km")
     return u
 
@@ -402,14 +403,21 @@ def effective_snr(tx_symbols, rx_symbols) -> float:
     return min(10 * math.log10(sig_power / err_power), 60.0)
 
 
+def _launch_length(link: LinkParams) -> int:
+    """Samples in a link's launch buffer: the shaped burst, FFT-friendly."""
+    taps = link.filter_span_symbols * link.sps + 1
+    return next_fast_len((link.burst_symbols - 1) * link.sps + taps)
+
+
 def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
-             fiber: FiberParams) -> float:
+             fiber: FiberParams, filters=None) -> float:
     """Full chain from shaped amplitude rails (flat 1-D arrays) to
     effective SNR in dB.
 
     Sign bits and ASE noise derive deterministically from link.seed; the
     EDFA gain exactly compensates the span loss; the first and last
-    guard_symbols are excluded from the SNR measurement.
+    guard_symbols are excluded from the SNR measurement. filters is the
+    span's `span_filters` tuple; a lone link builds its own.
     """
     i_rail = np.asarray(i_amplitudes, dtype=float)
     q_rail = np.asarray(q_amplitudes, dtype=float)
@@ -444,11 +452,13 @@ def run_link(i_amplitudes, q_amplitudes, link: LinkParams,
     # interval that keeps pocketfft off its slow large-prime path and absorbs
     # the circular wrap. The wave is scaled in it; each stage after returns
     # its own array, and rebinding u frees the one before.
-    u = np.zeros(next_fast_len(wave.size), dtype=complex)
+    u = np.zeros(_launch_length(link), dtype=complex)
     u[:wave.size] = wave
     _scale_to_power(u[:wave.size], link.launch_power_dbm)
     del wave
-    u = ssfm_span(u, rate, fiber, link.step_km)
+    if filters is None:
+        filters = span_filters(u.size, rate, fiber, link.step_km)
+    u = ssfm_span(u, fiber, filters)
     u = edfa(u, gain_db, noise_var, ss_ase)
     u = cd_compensate(u, rate, fiber)
     rx = demodulate(u, taps, link.sps)[:n]
@@ -486,17 +496,19 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     numbers); the shaped payload is redrawn per seed from the same index
     stream through each scheme's codebook.
 
-    The payloads are drawn here, in order; the links then run on a thread
-    pool as wide as the usable cores. Each link works on its own arrays and
-    shares only the read-only span filters, and pocketfft and numpy's
-    ufuncs release the GIL, so the links overlap and every SNR is the one a
-    plain loop gives. If a link raises, the
-    links not yet started are cancelled and the error of the first failed
-    link in (scheme, seed, power) order propagates.
+    The span's read-only filters (`span_filters`), then the payloads, are
+    made here, once; the links then run on a thread pool as wide as the
+    usable cores, each on the same filters and otherwise its own arrays.
+    pocketfft and numpy's ufuncs release the GIL, so the links overlap and
+    every SNR is the one a plain loop gives. The filters are freed when the
+    sweep returns. If a link raises, the queued links are cancelled and the
+    first failed link's error in (scheme, seed, power) order propagates.
     """
     seeds = _integer(seeds, "seeds")
     if seeds < 1:
         raise ParameterError(f"seed sweep needs at least one seed, got {seeds}")
+    filters = span_filters(_launch_length(link), link.sample_rate_hz, fiber,
+                           link.step_km)
     jobs = []
     for scheme, trellis in trellis_by_scheme.items():
         for si in range(seeds):
@@ -511,7 +523,7 @@ def run_sweep(trellis_by_scheme: dict[str, Trellis], powers, seeds: int,
     try:
         # run_link is looked up in this module's namespace, where a tracer
         # or a test may have replaced it
-        futures = [pool.submit(run_link, i_rail, q_rail, run, fiber)
+        futures = [pool.submit(run_link, i_rail, q_rail, run, fiber, filters)
                    for _, run, i_rail, q_rail in jobs]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:

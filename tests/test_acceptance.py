@@ -26,6 +26,7 @@ from bandshape.fibersim import (
     cd_compensate,
     run_link,
     run_sweep,
+    span_filters,
     ssfm_span,
 )
 from bandshape.metrics import compare_db, find_band_operating_point
@@ -209,7 +210,7 @@ def test_criterion_5_simulator_physics():
     # (a) dispersion-only transfer function, 1e-10 relative
     fiber = FiberParams(0.0, 17.0, 0.0, 80.0)
     wf = _random_waveform(seed=1)
-    out = ssfm_span(wf, 200e9, fiber, step_km=4.0)
+    out = ssfm_span(wf, fiber, span_filters(wf.size, 200e9, fiber, 4.0))
     omega = 2 * np.pi * fftfreq(wf.size, 1 / 200e9)
     ref = ifft(fft(wf)
                * np.exp(1j * 0.5 * fiber.beta2_s2_per_m * omega**2 * 80e3))
@@ -220,7 +221,7 @@ def test_criterion_5_simulator_physics():
     fiber = FiberParams(0.0, 0.0, 1.3, 50.0)
     amp = 0.05
     wf = np.full(2048, amp, dtype=complex)
-    out = ssfm_span(wf, 200e9, fiber, step_km=1.0)
+    out = ssfm_span(wf, fiber, span_filters(wf.size, 200e9, fiber, 1.0))
     want = amp * np.exp(1j * 1.3 * amp**2 * 50.0)
     spm_err = np.max(np.abs(out - want)) / abs(want)
     assert spm_err < 1e-10
@@ -229,7 +230,7 @@ def test_criterion_5_simulator_physics():
     fiber = FiberParams(0.0, 17.0, 1.3, 40.0)
     wf = _random_waveform(seed=2)
     wf *= np.sqrt(5e-3 / np.mean(np.abs(wf) ** 2))
-    out = ssfm_span(wf, 200e9, fiber, step_km=0.5)
+    out = ssfm_span(wf, fiber, span_filters(wf.size, 200e9, fiber, 0.5))
     energy_err = abs(np.sum(np.abs(out) ** 2)
                      / np.sum(np.abs(wf) ** 2) - 1)
     assert energy_err < 1e-9

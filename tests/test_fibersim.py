@@ -1,9 +1,9 @@
 import math
-import sys
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +26,7 @@ from bandshape.fibersim import (
     rrc_taps,
     run_link,
     run_sweep,
+    span_filters,
     ssfm_span,
 )
 from bandshape.trellis import (
@@ -59,6 +60,11 @@ def random_qam_waveform(n_symbols=2048, seed=0):
     sym /= np.sqrt(np.mean(np.abs(sym) ** 2))
     taps = rrc_taps(0.1, 32, 4)
     return modulate(sym, 4, taps)
+
+
+def propagate(samples, rate, fiber, step_km):
+    """The span as a lone link runs it: its own filters, then ssfm_span."""
+    return ssfm_span(samples, fiber, span_filters(len(samples), rate, fiber, step_km))
 
 
 def same_bits(a, b):
@@ -211,7 +217,7 @@ class TestSsfm:
     def test_dispersion_only_matches_analytic(self):
         fiber = FiberParams(0.0, 17.0, 0.0, 80.0)
         wf = random_qam_waveform(seed=5)
-        out = ssfm_span(wf, RATE, fiber, step_km=4.0)
+        out = propagate(wf, RATE, fiber, step_km=4.0)
         omega = 2 * np.pi * fftfreq(wf.size, 1 / RATE)
         phase = 0.5 * fiber.beta2_s2_per_m * omega**2 * fiber.length_km * 1e3
         ref = ifft(fft(wf) * np.exp(1j * phase))
@@ -227,7 +233,7 @@ class TestSsfm:
         n = 1024
         amp = 0.03  # 0.9 mW constant power
         u = np.full(n, amp, dtype=complex)
-        out = ssfm_span(u, 200e9, fiber, step_km=1.0)
+        out = propagate(u, 200e9, fiber, step_km=1.0)
         expected = amp * np.exp(1j * 1.3 * amp**2 * 50.0)
         np.testing.assert_allclose(out, np.full(n, expected), rtol=1e-10)
 
@@ -235,7 +241,7 @@ class TestSsfm:
         fiber = FiberParams(0.0, 17.0, 1.3, 40.0)
         wf = random_qam_waveform(seed=6)
         wf *= np.sqrt(5e-3 / np.mean(np.abs(wf) ** 2))
-        out = ssfm_span(wf, RATE, fiber, step_km=0.5)
+        out = propagate(wf, RATE, fiber, step_km=0.5)
         e_in = np.sum(np.abs(wf) ** 2)
         e_out = np.sum(np.abs(out) ** 2)
         assert abs(e_out / e_in - 1) < 1e-9
@@ -243,7 +249,7 @@ class TestSsfm:
     def test_loss_only(self):
         fiber = FiberParams(0.2, 0.0, 0.0, 100.0)
         wf = random_qam_waveform(seed=7)
-        out = ssfm_span(wf, RATE, fiber, step_km=10.0)
+        out = propagate(wf, RATE, fiber, step_km=10.0)
         ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(wf) ** 2)
         assert 10 * np.log10(ratio) == pytest.approx(-20.0, abs=1e-9)
 
@@ -259,10 +265,14 @@ class TestSsfm:
     @pytest.mark.parametrize("samples, step_km, message", [
         (np.zeros(0, dtype=complex), 1.0, "waveform is empty"),
         (np.ones(16, dtype=complex), 0.0, "step_km must be positive"),
+        (np.zeros(0, dtype=complex), None, "waveform is empty"),  # cd_compensate
     ])
     def test_bad_span_input_rejected(self, samples, step_km, message):
         with pytest.raises(ParameterError, match=message):
-            ssfm_span(samples, RATE, SPAN_FIBER, step_km)
+            if step_km is None:
+                cd_compensate(samples, RATE, SPAN_FIBER)
+            else:
+                propagate(samples, RATE, SPAN_FIBER, step_km)
 
     def test_nonfinite_aborts(self):
         fiber = FiberParams(0.2, 17.0, 1.3, 10.0)
@@ -270,7 +280,7 @@ class TestSsfm:
         wf[17] = np.inf
         # the span is checked after its last step
         with pytest.raises(NumericalError, match=r"^non-finite samples after 10\.000 km$"):
-            ssfm_span(wf, RATE, fiber, step_km=1.0)
+            propagate(wf, RATE, fiber, step_km=1.0)
 
     @pytest.mark.parametrize("length_km, where", [
         pytest.param(100.0, "32.000", id="100.0"),
@@ -283,7 +293,7 @@ class TestSsfm:
         wf = random_qam_waveform(n_symbols=256, seed=9)
         wf[17] = np.inf
         with pytest.raises(NumericalError, match=rf"^non-finite samples after {where} km$"):
-            ssfm_span(wf, RATE, fiber, step_km=1.0)
+            propagate(wf, RATE, fiber, step_km=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nonfinite_mid_waveform_aborts(self, bad):
@@ -295,12 +305,12 @@ class TestSsfm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite samples"):
-                ssfm_span(wf, RATE, fiber, step_km=1.0)
+                propagate(wf, RATE, fiber, step_km=1.0)
 
     def test_zero_length_identity(self):
         fiber = FiberParams(0.2, 17.0, 1.3, 0.0)
         wf = random_qam_waveform(seed=10)
-        out = ssfm_span(wf, RATE, fiber, step_km=1.0)
+        out = propagate(wf, RATE, fiber, step_km=1.0)
         np.testing.assert_allclose(out, wf, atol=1e-15)
 
     def test_matches_reference_exactly(self):
@@ -309,7 +319,7 @@ class TestSsfm:
         fiber = FiberParams(0.2, 17.0, 1.3, 10.3)
         wf = random_qam_waveform(seed=11)
         wf *= np.sqrt(20e-3 / np.mean(np.abs(wf) ** 2))
-        out = ssfm_span(wf, RATE, fiber, step_km=1.0)
+        out = propagate(wf, RATE, fiber, step_km=1.0)
         ref = ssfm_reference(wf, RATE, fiber, 1.0)
         assert np.array_equal(out, ref)
 
@@ -317,7 +327,7 @@ class TestSsfm:
         fiber = FiberParams(0.2, 17.0, 1.3, 3.5)
         wf = random_qam_waveform(seed=12)
         before = wf.copy()
-        out = ssfm_span(wf, RATE, fiber, step_km=1.0)
+        out = propagate(wf, RATE, fiber, step_km=1.0)
         assert np.array_equal(wf, before)
         assert not np.shares_memory(out, wf)
 
@@ -340,35 +350,14 @@ class TestSsfm:
 
         reference = rk4ip_span(wf, rate, SPAN_FIBER, 0.5)
         assert rel(reference, rk4ip_span(wf, rate, SPAN_FIBER, 0.125)) < 1e-5
-        assert rel(ssfm_span(wf, rate, SPAN_FIBER, 0.25), reference) < 1e-4
+        assert rel(propagate(wf, rate, SPAN_FIBER, 0.25), reference) < 1e-4
 
 
 class TestLinearFilter:
-    """The span's dispersion-and-loss filters are cached by (length, rate,
-    fiber, step) and shared, read-only, by every span that needs them."""
+    """span_filters gives a span one read-only dispersion-and-loss filter
+    per linear stage; the stages of one step length share one array."""
 
     FIBER = FiberParams(0.2, 17.0, 1.3, 10.3)
-
-    def record_filters(self, monkeypatch):
-        seen = []
-        build = fibersim._linear_filter
-
-        def record(*args):
-            seen.append(build(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(fibersim, "_linear_filter", record)
-        return seen
-
-    def test_equal_spans_share_filters(self, monkeypatch):
-        seen = self.record_filters(monkeypatch)
-        wf = random_qam_waveform(seed=20)
-        ssfm_span(wf, RATE, self.FIBER, step_km=1.0)
-        # an equal fiber, not the same object
-        ssfm_span(wf, RATE, replace(self.FIBER), step_km=1.0)
-        # the half and the whole of a 10.3/11 km step per span
-        assert len(seen) == 4
-        assert all(a is b for a, b in zip(seen[:2], seen[2:]))
 
     @pytest.mark.parametrize("length_km, n_steps", [
         pytest.param(length_km, n_steps, id=str(length_km))
@@ -376,8 +365,8 @@ class TestLinearFilter:
     ])
     def test_equal_steps_use_two_filters(self, monkeypatch, length_km, n_steps):
         # n steps of the float 0.1 km do not end at any of these lengths;
-        # the span takes n equal steps of length / n km, through the
-        # filters of the half and the whole step
+        # the span takes n equal steps of length / n km: the half step's
+        # filter at either end, the whole step's between Kerr steps
         lengths, coeffs = [], []
         build = fibersim._linear_filter
 
@@ -389,9 +378,13 @@ class TestLinearFilter:
         monkeypatch.setattr(_kernels, "kerr_phase",
                             lambda u, coeff: coeffs.append(coeff) or u)
         fiber = replace(self.FIBER, length_km=length_km)
-        ssfm_span(random_qam_waveform(n_symbols=16, seed=23), RATE, fiber, step_km=0.1)
+        wf = random_qam_waveform(n_symbols=16, seed=23)
+        filters = span_filters(wf.size, RATE, fiber, step_km=0.1)
         dz = length_km / n_steps
         assert lengths == [dz / 2, dz]
+        assert len(filters) == n_steps + 1
+        assert filters[0] is filters[-1] and all(f is filters[1] for f in filters[1:-1])
+        ssfm_span(wf, fiber, filters)
         assert coeffs == [fiber.gamma_per_w_km * dz] * n_steps
 
     def test_read_only(self):
@@ -411,51 +404,7 @@ class TestLinearFilter:
             fibersim._linear_filter(1000, RATE, self.FIBER, 0.5),
         ]
         for other in others:
-            assert other is not filt
             assert not np.array_equal(other, filt)
-
-    def test_cache_stays_bounded(self):
-        cache = fibersim._linear_filter
-        wf = random_qam_waveform(seed=21)
-        for length in (3.3, 4.1, 5.0, 7.9):
-            for step_km in (0.7, 1.0, 1.3):
-                fiber = replace(self.FIBER, length_km=length)
-                ssfm_span(wf, RATE, fiber, step_km)
-                assert cache.cache_info().currsize <= cache.cache_info().maxsize == 2
-
-    def test_concurrent_spans_build_each_filter_once(self, monkeypatch):
-        # spans that start together, more than the cores: the later ones
-        # wait for the first one's filters instead of building their own
-        builds = []
-        dispersion_filter = fibersim._dispersion_filter
-
-        def slow_build(*args):
-            builds.append(args)
-            time.sleep(0.05)
-            return dispersion_filter(*args)
-
-        monkeypatch.setattr(fibersim, "_dispersion_filter", slow_build)
-        fibersim._linear_filter.cache_clear()
-        wf = random_qam_waveform(seed=22)
-        fiber = replace(self.FIBER, length_km=10.0)  # 0.5 and 1.0 km filters
-        outs = [None] * 6
-
-        def span(i):
-            outs[i] = ssfm_span(wf, RATE, fiber, step_km=1.0)
-
-        threads = [threading.Thread(target=span, args=(i,)) for i in range(len(outs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(builds) == 2
-        assert all(np.array_equal(out, outs[0]) for out in outs)
 
 
 class TestEdfa:
@@ -513,7 +462,7 @@ class TestCdCompensate:
     def test_inverts_dispersion(self):
         fiber = FiberParams(0.0, 17.0, 0.0, 205.0)
         wf = random_qam_waveform(seed=14)
-        out = cd_compensate(ssfm_span(wf, RATE, fiber, step_km=205.0), RATE, fiber)
+        out = cd_compensate(propagate(wf, RATE, fiber, step_km=205.0), RATE, fiber)
         err = np.linalg.norm(out - wf) / np.linalg.norm(wf)
         assert err < 1e-9
 
@@ -695,7 +644,6 @@ class TestRunLink:
         link = small_link(sps=8, step_km=0.25, burst_symbols=1 << 14,
                           guard_symbols=512, launch_power_dbm=10.0)
         i_rail, q_rail = uniform_rails(link.burst_symbols)
-        fibersim._linear_filter.cache_clear()
         tracemalloc.start()
         try:
             run_link(i_rail, q_rail, link, replace(SPAN_FIBER, length_km=2.0))
@@ -723,7 +671,23 @@ class TestRunSweep:
 
     def test_equals_a_plain_loop_of_links(self, monkeypatch):
         # the pooled sweep returns, bit for bit, what one link at a time
-        # gives, with links overlapping even on a one-core host
+        # gives, with links overlapping even on a one-core host; every link
+        # gets the one tuple of filters that the sweep builds before its
+        # pool, and nothing keeps them after it returns
+        built, tuples = [], set()
+        build, link_run = fibersim._linear_filter, fibersim.run_link
+
+        def record_build(*args):
+            filt = build(*args)
+            built.append(weakref.ref(filt))
+            return filt
+
+        def record_link(*args):
+            tuples.add(id(args[-1]))
+            return link_run(*args)
+
+        monkeypatch.setattr(fibersim, "_linear_filter", record_build)
+        monkeypatch.setattr(fibersim, "run_link", record_link)
         monkeypatch.setattr(fibersim, "usable_cores", lambda: 4)
         schemes = {
             "ess": build_full_trellis(TrellisParams(12, Alphabet((1, 3, 5, 7)), 236)),
@@ -733,6 +697,8 @@ class TestRunSweep:
         powers = [0.0, 4.0, 8.0]
         link = small_link(burst_symbols=2048, guard_symbols=128, step_km=41.0, seed=3)
         rows = run_sweep(schemes, powers=powers, seeds=2, link=link, fiber=SPAN_FIBER)
+        assert len(built) == 2 and len(tuples) == 1
+        assert all(ref() is None for ref in built)
         expected = []
         for scheme, trellis in schemes.items():
             for si in range(2):
@@ -757,7 +723,7 @@ class TestRunSweep:
         calls = []
         lock = threading.Lock()
 
-        def fake_link(i_rail, q_rail, run, fiber):
+        def fake_link(i_rail, q_rail, run, fiber, filters):
             with lock:
                 calls.append(run.launch_power_dbm)
             if run.launch_power_dbm == 0.0:

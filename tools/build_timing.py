@@ -9,8 +9,13 @@ runs --rounds rounds. Each round times one `load_trellis` of every file
 it, and one construction of the parser, in an order that rotates from
 round to round, so a change in the host's speed spreads over every item.
 Prints one JSON line per item: its median and quartiles in milliseconds.
-Standard library only; compare two trees by running this script against
-each, alternating, on the same host.
+Standard library only.
+
+It times the one tree on its import path. Do not compare two trees by
+running it once per tree: a host's speed drifts between processes, and
+identical code has read 39% slower that way. A two-tree comparison needs
+both packages loaded in one process, with their calls alternated (ROADMAP
+item 29).
 """
 
 from __future__ import annotations
